@@ -3,6 +3,7 @@ turnpike verification at desk scale (1D PDEs, d-dimensional couplings)."""
 
 __version__ = "0.1.0"
 
+from .errors import MfglabError
 from .profiles import (MonotonicityProfile, KReport, make_profile,
                        certify_class_K, constant_profile, double_well_profile,
                        profile_of_drift, shift_profile)
@@ -19,10 +20,9 @@ from .model import (Scenario, Grid1D, MCConfig, GaussianLaw, DiffusionSpec,
                     conv_tanh_interaction, no_interaction, zero_terminal,
                     quadratic_terminal, sigma_bar, policy, hamiltonian,
                     policy_gap_bound, check_smallness, probe_assumptions,
-                    load_scenario, ou_scenario, lq_scenario,
-                    lq_mean_scenario, double_well_scenario)
+                    load_scenario)
 from .distances import (w1_grid, w1_samples, tv_grid, wf_grid, wf_atoms,
-                        w1_atoms, f_norm, lip_norm)
+                        f_norm, lip_norm)
 from .couplings import (CouplingConfig, CouplingStats, simulate_coupling,
                         check_drift_gap_bounds, moment_diagnostic,
                         time_regularity)
@@ -30,9 +30,8 @@ from .control import (ValueFunction, MeasureFlow, solve_hjb,
                       solve_fokker_planck, optimal_flow,
                       stationary_density_cc, lipschitz_ledger,
                       hessian_ledger, stability_ledger, pontryagin_residual,
-                      box_doubling_check, w1_distance, tv_distance,
-                      wf_distance, BoundLedger)
-from .mfg import (RegimeConstants, ErgodicSolution, TurnpikeReport,
+                      box_doubling_check, BoundLedger)
+from .mfg import (ErgodicSolution, TurnpikeReport,
                   TurnpikeConstants, frozen_solve, solve_mfg,
                   frozen_ergodic, solve_ergodic_mfg, turnpike_constants,
                   turnpike_report, moment_bound)

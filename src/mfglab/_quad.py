@@ -6,15 +6,17 @@ tolerance, and all threshold radii / certified rates are bisection roots of
 monotone functions.
 """
 
-import numpy as np
+from .errors import MfglabError
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(MfglabError, RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
+    kind = "numerical"
 
 
-class BracketError(RuntimeError):
+class BracketError(MfglabError, RuntimeError):
     """Root bracket could not be established on the allowed interval."""
+    kind = "numerical"
 
 
 def adaptive_simpson(fn, a, b, tol=1e-10, max_depth=48, rel=0.0):
@@ -49,22 +51,6 @@ def _simpson_rec(fn, a, b, fa, fm, fb, whole, tol, rel, depth):
     half = 0.5 * tol
     return (_simpson_rec(fn, a, m, fa, flm, fm, left, half, rel, depth - 1)
             + _simpson_rec(fn, m, b, fm, frm, fb, right, half, rel, depth - 1))
-
-
-def cumulative_simpson(fn, nodes, tol=1e-10):
-    """Cumulative integral of fn from nodes[0] along the node array.
-
-    Returns an array F with F[0] = 0 and F[i] = integral over
-    [nodes[0], nodes[i]], each segment integrated adaptively.
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    out = np.zeros_like(nodes)
-    seg_tol = max(tol / max(len(nodes) - 1, 1), 1e-16)
-    acc = 0.0
-    for i in range(1, len(nodes)):
-        acc += adaptive_simpson(fn, nodes[i - 1], nodes[i], seg_tol)
-        out[i] = acc
-    return out
 
 
 def bisect_root(fn, lo, hi, tol=1e-12, max_iter=200):

@@ -7,7 +7,8 @@ residual), ergodic, mfg, turnpike (full pipeline and report), check
 (assumption probes and strength margins), and sweep.  Every run writes a
 manifest, a machine-readable summary with pass/fail per assertion, CSV
 tables, and a gnuplot script referencing them.  Exit codes: 0 all
-assertions pass, 1 assertion failures, 2 configuration errors.
+assertions pass, 1 assertion failures, 2 configuration or certification
+errors, 3 numerical failures.
 """
 
 import argparse
@@ -17,21 +18,22 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .model import (ConfigError, GaussianLaw, check_smallness,
-                    load_scenario, probe_assumptions)
-from .metrics import (DomainError, MetricError,
-                      check_differential_inequality, q_kernel, save_metric)
+from .errors import MfglabError
+from .model import (GaussianLaw, check_smallness, load_scenario,
+                    probe_assumptions, scenario_path)
+from .metrics import (DomainError, check_differential_inequality, q_kernel,
+                      save_metric)
 from .couplings import CouplingConfig, moment_diagnostic, simulate_coupling
-from .control import (hessian_ledger, lipschitz_ledger, pontryagin_residual,
-                      solve_fokker_planck, stationary_density_cc)
-from .mfg import (FixedPointError, frozen_ergodic, solve_ergodic_mfg,
-                  solve_mfg, turnpike_constants, turnpike_report)
+from .control import hessian_ledger, lipschitz_ledger, pontryagin_residual
+from .mfg import (frozen_ergodic, solve_ergodic_mfg, solve_mfg,
+                  turnpike_report)
+
+EXIT_CODES = {"config": 2, "certification": 2, "numerical": 3}
 
 
 def _fmt(x):
@@ -58,19 +60,11 @@ def scenario_hash(path_or_obj):
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def resolve_scenario(spec, seed=None):
-    builtin = Path(__file__).parent / "scenarios" / f"{spec}.json"
-    if Path(spec).exists():
-        path = Path(spec)
-    elif builtin.exists():
-        path = builtin
-    else:
-        raise ConfigError(f"scenario {spec!r}: no such file or catalog entry "
-                          f"(choices: {sorted(p.stem for p in builtin.parent.glob('*.json'))})")
-    sc = load_scenario(path)
+def resolve_scenario(spec, seed=None, overrides=None):
+    overrides = dict(overrides or {})
     if seed is not None:
-        sc = replace(sc, mc=replace(sc.mc, master_seed=seed))
-    return sc, path
+        overrides["mc.master_seed"] = seed
+    return load_scenario(spec, overrides), scenario_path(spec)
 
 
 class RunDir:
@@ -337,40 +331,25 @@ COMMANDS = {"rates": cmd_rates, "coupling": cmd_coupling,
             "turnpike": cmd_turnpike, "check": cmd_check}
 
 
-def set_by_path(raw, dotted, value):
-    keys = dotted.split(".")
-    node = raw
-    for k in keys[:-1]:
-        node = node[k]
-    node[keys[-1]] = value
-
-
 def cmd_sweep(args, out_root):
-    sc, path = resolve_scenario(args.scenario, args.seed)
-    with open(path) as fh:
-        raw = json.load(fh)
     rows = []
     exit_code = 0
     for value in [float(v) for v in args.values.split(",")]:
-        mod = json.loads(json.dumps(raw))
+        # a scenario the loader rejects is a configuration error (exit 2);
+        # a value whose strength condition cannot be evaluated is recorded
+        sc, _ = resolve_scenario(args.scenario, args.seed,
+                                 {args.param: value})
         try:
-            set_by_path(mod, args.param, value)
-        except KeyError:
-            raise ConfigError(f"parameter path {args.param!r} not found")
-        tmp = Path(out_root) / f"sweep_{value:g}.json"
-        tmp.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(json.dumps(mod))
-        try:
-            sc_v = load_scenario(tmp)
-            rep = check_smallness(sc_v)
+            rep = check_smallness(sc)
             rows.append({"value": value, "lambda_star": rep.lambda_star,
                          "margin": rep.margin,
                          "passes": int(rep.passes), "error": ""})
-        except Exception as exc:   # per-value failures recorded, sweep goes on
+        except MfglabError as exc:
             rows.append({"value": value, "lambda_star": float("nan"),
                          "margin": float("nan"), "passes": 0,
                          "error": type(exc).__name__})
             exit_code = 1
+    Path(out_root).mkdir(parents=True, exist_ok=True)
     out = Path(out_root) / "sweep.csv"
     write_csv(out, ["value", "lambda_star", "margin", "passes", "error"],
               [[r[k] for r in rows] for k in
@@ -412,9 +391,9 @@ def main(argv=None):
         run.seed = sc.mc.master_seed
         COMMANDS[args.command](sc, path, run, args)
         return run.finish(path, ["mfglab"] + argv)
-    except (ConfigError, MetricError, DomainError, FixedPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except MfglabError as exc:
+        print(f"error ({exc.kind}): {exc}", file=sys.stderr)
+        return EXIT_CODES[exc.kind]
 
 
 if __name__ == "__main__":

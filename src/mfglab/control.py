@@ -13,17 +13,18 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .distances import f_norm, lip_norm, tv_grid, w1_grid, wf_grid
-from .metrics import TwistedMetric
+from .distances import f_norm, lip_norm, tv_grid
+from .errors import MfglabError
+from .metrics import MetricError, TwistedMetric
 from .model import DiffusionSpec, Grid1D, RunningCostSpec, Scenario, policy
 
 
-class SchemeError(RuntimeError):
-    pass
+class SchemeError(MfglabError, RuntimeError):
+    kind = "numerical"
 
 
-class BlowUpError(RuntimeError):
-    pass
+class BlowUpError(MfglabError, RuntimeError):
+    kind = "numerical"
 
 
 # ---------------------------------------------------------------------------
@@ -352,21 +353,6 @@ def optimal_flow(value: ValueFunction, scenario: Scenario,
 
 
 # ---------------------------------------------------------------------------
-# distance wrappers on the control grid
-
-def w1_distance(dens1, dens2, grid: Grid1D):
-    return w1_grid(grid.xs, dens1, dens2)
-
-
-def tv_distance(dens1, dens2, grid: Grid1D):
-    return tv_grid(grid.xs, dens1, dens2)
-
-
-def wf_distance(dens1, dens2, grid: Grid1D, tm: TwistedMetric, n_atoms=128):
-    return wf_grid(grid.xs, dens1, dens2, tm.f, n_atoms=n_atoms)
-
-
-# ---------------------------------------------------------------------------
 # bound ledgers
 
 @dataclass
@@ -509,7 +495,7 @@ def hessian_ledger(value: ValueFunction, scenario: Scenario,
     else:
         try:
             _, tm_bar = _build_extending(kappa_bar, scenario.diffusion.sigma0)
-        except Exception:
+        except MetricError:
             tm_bar = None
 
     C_x_g = term.C_x_G if term.C_x_G is not None else f_norm(

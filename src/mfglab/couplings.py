@@ -11,17 +11,18 @@ step (gluing late, never early, so measured contraction is only weakened).
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .distances import w1_samples
+from .errors import MfglabError
 from .metrics import DomainError, q_kernel_arr
 
 
-class CouplingError(ValueError):
-    pass
+class CouplingError(MfglabError, ValueError):
+    kind = "config"
 
 
 KINDS = ("synchronous", "reflection", "controlled_reflection", "interpolated",

@@ -11,7 +11,13 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
+from .errors import MfglabError
 from .metrics import DomainError
+
+
+class TransportError(MfglabError, RuntimeError):
+    """The exact transport LP found no optimal plan."""
+    kind = "numerical"
 
 
 def _check_density(x, p, tol=1e-8):
@@ -82,7 +88,7 @@ def _transport_lp(xa, wa, xb, wb, cost_fn):
     rhs = np.concatenate([wa, wb])
     res = linprog(cost, A_eq=A, b_eq=rhs, bounds=(0.0, None), method="highs")
     if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
+        raise TransportError(f"transport LP failed: {res.message}")
     return float(res.fun)
 
 
@@ -117,11 +123,6 @@ def wf_atoms(xa, xb, f):
         raise DomainError("atom clouds must have equal size")
     wa = np.full(len(xa), 1.0 / len(xa))
     return _transport_lp(xa, wa, xb, wa.copy(), f)
-
-
-def w1_atoms(xa, xb):
-    """Exact W1 between equal-weight atom clouds (monotone matching)."""
-    return float(np.mean(np.abs(np.sort(xa) - np.sort(xb))))
 
 
 def f_norm(x, values, f, strides=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512)):

@@ -32,17 +32,18 @@ from scipy.integrate import simpson
 from scipy.interpolate import PchipInterpolator
 
 from ._quad import adaptive_simpson, bisect_root, BracketError
+from .errors import MfglabError
 from .profiles import MonotonicityProfile
 
 _LOG_DEGENERATE = -600.0  # below this log(phi) the rate constants underflow
 
 
-class MetricError(ValueError):
-    pass
+class MetricError(MfglabError, ValueError):
+    kind = "certification"
 
 
-class DomainError(ValueError):
-    pass
+class DomainError(MfglabError, ValueError):
+    kind = "certification"
 
 
 @dataclass(frozen=True)

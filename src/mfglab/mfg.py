@@ -20,17 +20,20 @@ from .control import (MeasureFlow, ValueFunction, gradient_second_order,
                       optimal_flow, solve_fokker_planck, solve_hjb,
                       stationary_density_cc)
 from .distances import f_norm, tv_grid, w1_grid, wf_grid
-from .metrics import DomainError, q_kernel
+from .errors import MfglabError
+from .metrics import DomainError, MetricError, q_kernel
 from .model import (GridDensity, Scenario, SmallnessReport, check_smallness,
                     policy)
 
 
-class FixedPointError(RuntimeError):
-    pass
+class FixedPointError(MfglabError, RuntimeError):
+    """A fixed point that is uncertified or not reached; .trace holds the
+    per-sweep record of the iteration, if one ran."""
+    kind = "certification"
 
-
-# regime constants are the smallness report plus the pinned report rate
-RegimeConstants = SmallnessReport
+    def __init__(self, message, trace=()):
+        super().__init__(message)
+        self.trace = list(trace)
 
 
 @dataclass
@@ -64,7 +67,8 @@ def _interaction_source(scenario: Scenario, flow: Optional[MeasureFlow],
     Evaluating a convolution interaction is quadratic in the grid size, so
     doing it fresh at every solver step dominates the runtime; the flow is
     smooth in time, so the term is tabulated on ~n_slices slices and
-    linearly interpolated inside the stepping loops.
+    linearly interpolated inside the stepping loops.  The solver evaluates
+    the term on the scenario grid only.
     """
     inter = scenario.interaction
     if inter.kind == "none" or flow is None:
@@ -78,17 +82,12 @@ def _interaction_source(scenario: Scenario, flow: Optional[MeasureFlow],
 
     def source(t, xq):
         if t <= ts[0]:
-            row = table[0]
-        elif t >= ts[-1]:
-            row = table[-1]
-        else:
-            j = int(np.searchsorted(ts, t))
-            w = (t - ts[j - 1]) / (ts[j] - ts[j - 1])
-            row = (1.0 - w) * table[j - 1] + w * table[j]
-        if xq is xs or (len(xq) == len(xs) and xq[0] == xs[0]
-                        and xq[-1] == xs[-1]):
-            return row
-        return np.interp(xq, xs, row)
+            return table[0]
+        if t >= ts[-1]:
+            return table[-1]
+        j = int(np.searchsorted(ts, t))
+        w = (t - ts[j - 1]) / (ts[j] - ts[j - 1])
+        return (1.0 - w) * table[j - 1] + w * table[j]
 
     return source
 
@@ -129,8 +128,9 @@ def solve_mfg(scenario: Scenario, tol=1e-5, max_iters=30, theta=1.0,
     if smallness is None:
         smallness = check_smallness(scenario)
     if not smallness.passes and not force:
-        print(f"[mfg] warning: smallness margin {smallness.margin:.3g} < 1; "
-              f"iterating without a certified contraction")
+        raise FixedPointError(
+            f"smallness margin {smallness.margin:.3g} < 1: the Picard map "
+            f"is not certified contractive (pass force=True to override)")
     grid = scenario.grid
     xs = grid.xs
     if mu0_density is None:
@@ -212,7 +212,7 @@ def frozen_ergodic(scenario: Scenario, mu_frozen=None, map_horizon=1.0,
             rep = check_smallness(scenario)
             if not rep.tm_bar.degenerate and rep.kappa_bar.certification.is_K:
                 tm_bar = rep.tm_bar
-        except Exception:
+        except MetricError:
             pass
     f_eval = tm_bar.f if tm_bar is not None else (lambda r: r)
 
@@ -299,14 +299,10 @@ def solve_ergodic_mfg(scenario: Scenario, tol=1e-7, max_outer=60,
         prev_change = change
     else:
         raise FixedPointError(f"ergodic outer loop did not converge "
-                              f"in {max_outer} sweeps")
+                              f"in {max_outer} sweeps", trace)
     sol.outer_trace = trace
-    # the theoretical contraction of the outer map
-    sol.outer_factor_bound = smallness.outer_factor
-    tm_b = smallness.tm_b
-    sol.fnorm_phi = f_norm(xs, sol.phi_inf, tm_b.f)
+    sol.fnorm_phi = f_norm(xs, sol.phi_inf, smallness.tm_b.f)
     cap = (4.0 if low else 1.0) * smallness.C_x_psi
-    sol.fnorm_cap = cap
     sol.fnorm_ok = bool(sol.fnorm_phi <= cap * (1.0 + 1e-6))
     return sol
 
@@ -328,13 +324,17 @@ class TurnpikeConstants:
     notes: tuple = ()
 
     def flow_bound(self, t, T, W0, regime, tm_bar):
+        """Envelope of the measured flow distance from W0 = W_f at t = 0.
+
+        The distance is TV in the low regime and W1 otherwise; the W_f
+        envelope becomes a W1 one through the sandwich C_bar W1 <= W_f.
+        """
+        tail = self.C_f_flow * np.exp(-self.lam * (T - t))
         if regime == "low":
-            head = self.C_i * W0 * q_kernel(tm_bar.C, self.lam,
+            return self.C_i * W0 * q_kernel(tm_bar.C, self.lam,
                                             tm_bar.sigma_check,
-                                            max(t, 1e-12))
-        else:
-            head = self.C_i * W0 * np.exp(-self.lam * t)
-        return head + self.C_f_flow * np.exp(-self.lam * (T - t))
+                                            max(t, 1e-12)) + tail
+        return (self.C_i * W0 * np.exp(-self.lam * t) + tail) / tm_bar.C
 
     def value_bound(self, t, T, W0):
         v = self.value_terms

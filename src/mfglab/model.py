@@ -11,26 +11,28 @@ budgets.
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
 from ._quad import bisect_root
+from .errors import MfglabError
 from .metrics import DomainError, MetricError, TwistedMetric, build_twisted_metric
 from .profiles import (MonotonicityProfile, constant_profile,
                        double_well_profile, shift_profile)
 
 
-class EllipticityError(ValueError):
-    pass
+class EllipticityError(MfglabError, ValueError):
+    kind = "config"
 
 
-class ConvexityError(RuntimeError):
-    pass
+class ConvexityError(MfglabError, RuntimeError):
+    kind = "numerical"
 
 
-class ConfigError(ValueError):
-    pass
+class ConfigError(MfglabError, ValueError):
+    kind = "config"
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +140,6 @@ class DriftSpec:
     b: Callable
     growth_p: int
     growth_K: float
-    catalog_tag: str
     profile: MonotonicityProfile          # kappa_b
     C_x_b: Optional[float] = None         # Lipschitz constant when declared
     rho_b: Optional[float] = None         # -b' >= rho_b when declared
@@ -147,21 +148,14 @@ class DriftSpec:
 def linear_drift(beta, r_max=50.0):
     b = float(beta)
     return DriftSpec(b=lambda x: -b * x, growth_p=1, growth_K=b,
-                     catalog_tag="linear",
                      profile=constant_profile(b, r_max=r_max, name=f"linear({b:g})"),
                      C_x_b=b, rho_b=b)
 
 
 def double_well_drift(r_max=50.0, box=5.0):
     return DriftSpec(b=lambda x: x - x ** 3, growth_p=3, growth_K=1.0,
-                     catalog_tag="double_well",
                      profile=double_well_profile(r_max=r_max),
                      C_x_b=3.0 * box ** 2 - 1.0, rho_b=None)
-
-
-def custom_drift(b, profile, growth_p=1, growth_K=1.0, C_x_b=None):
-    return DriftSpec(b=b, growth_p=growth_p, growth_K=growth_K,
-                     catalog_tag="custom", profile=profile, C_x_b=C_x_b)
 
 
 # ---------------------------------------------------------------------------
@@ -178,29 +172,21 @@ class RunningCostSpec:
     C_L_osc: Optional[float] = None
     C_xu_L: Optional[float] = None
     closed_form: Optional[Callable] = None  # p, x -> argmin when available
-    state_cost: Optional[Callable] = None
 
 
-def quadratic_cost(rho_uu=1.0, q=0.0, lin_u=0.0, state_fn=None, C_x_L=None,
-                   C_L_osc=None):
-    """L(x, u) = rho/2 u^2 + lin_u * u + q/2 x^2 (+ optional state term)."""
+def quadratic_cost(rho_uu=1.0, q=0.0, lin_u=0.0, C_x_L=None, C_L_osc=None):
+    """L(x, u) = rho/2 u^2 + lin_u * u + q/2 x^2."""
     rho = float(rho_uu)
 
-    def state(x):
-        v = 0.5 * q * np.asarray(x, dtype=float) ** 2
-        if state_fn is not None:
-            v = v + state_fn(x)
-        return v
-
     def L(x, u):
-        return 0.5 * rho * u ** 2 + lin_u * u + state(x)
+        return (0.5 * rho * u ** 2 + lin_u * u
+                + 0.5 * q * np.asarray(x, dtype=float) ** 2)
 
     return RunningCostSpec(
         L=L, dLu=lambda x, u: rho * u + lin_u,
         d2Luu=lambda x, u: rho * np.ones_like(np.asarray(u, dtype=float)),
         rho_uu=rho, C_u_L0=abs(lin_u), C_x_L=C_x_L, C_L_osc=C_L_osc,
-        C_xu_L=0.0, closed_form=lambda x, p: -(p + lin_u) / rho,
-        state_cost=state)
+        C_xu_L=0.0, closed_form=lambda x, p: -(p + lin_u) / rho)
 
 
 def policy(cost: RunningCostSpec, x, p, tol=1e-10, max_iter=50):
@@ -311,12 +297,6 @@ def quadratic_terminal(gx, box=5.0):
                             C_xx_G=abs(gx), tag="quadratic")
 
 
-def fixed_terminal(values_fn, C_x_G=None, C_G=None, tag="fixed"):
-    return TerminalCostSpec(G=lambda mu, x: np.asarray(values_fn(x), dtype=float),
-                            bound_kind="lipschitz" if C_x_G is not None else "sup",
-                            C_x_G=C_x_G, C_G=C_G, tag=tag)
-
-
 # ---------------------------------------------------------------------------
 # grids, initial law, Monte Carlo configuration
 
@@ -326,7 +306,6 @@ class Grid1D:
     x_max: float
     n_x: int
     dt: float
-    boundary: str = "one_sided_extrapolation"
 
     @property
     def xs(self):
@@ -395,12 +374,6 @@ class Scenario:
                                   f"constant {key}")
         self.grid.check_span(self.diffusion.sigma0,
                              self.drift.profile.asymptotic_floor)
-
-    def frozen_drift(self, value_grad_fn):
-        """Drift of the optimally controlled state given a gradient field."""
-        def beta(x):
-            return self.drift.b(x) + policy(self.running_cost, x, value_grad_fn(x))
-        return beta
 
 
 # ---------------------------------------------------------------------------
@@ -705,65 +678,9 @@ def probe_assumptions(scenario: Scenario, n=1000, seed=0, box=None):
 
 
 # ---------------------------------------------------------------------------
-# scenario catalog
+# scenario files: the shipped JSON catalog and dotted-path overrides
 
-def ou_scenario(n_paths=100_000, dt=1e-3, seed=20240901):
-    """Plain confining linear drift, no costs: the coupling workhorse."""
-    return Scenario(
-        name="ou", drift=linear_drift(1.0), diffusion=constant_diffusion(np.sqrt(2.0)),
-        running_cost=quadratic_cost(rho_uu=1.0, C_x_L=0.0, C_L_osc=0.0),
-        interaction=no_interaction(), terminal_cost=zero_terminal(),
-        mu0=GaussianLaw(0.0, 1.0), T=4.0, regime="high",
-        grid=Grid1D(-6.0, 6.0, 601, 1e-3),
-        mc=MCConfig(n_paths=n_paths, dt=dt, master_seed=seed, t_grid=(1.0, 2.0, 4.0)))
-
-
-def lq_scenario(beta=1.0, q=3.0, gx=1.0, T=1.0, x_lim=5.0, dx=0.01, dt=1e-4):
-    """Linear-quadratic control problem with a closed-form value function."""
-    n_x = int(round(2 * x_lim / dx)) + 1
-    return Scenario(
-        name="lq", drift=linear_drift(beta),
-        diffusion=constant_diffusion(np.sqrt(2.0)),
-        running_cost=quadratic_cost(rho_uu=1.0, q=q, C_x_L=q * x_lim, C_L_osc=None),
-        interaction=no_interaction(),
-        terminal_cost=quadratic_terminal(gx, box=x_lim),
-        mu0=GaussianLaw(0.0, 0.5), T=T, regime="high",
-        grid=Grid1D(-x_lim, x_lim, n_x, dt))
-
-
-def lq_mean_scenario(beta=3.0, c=0.1, m0=0.8, T=2.0, x_lim=3.0, dx=0.01,
-                     dt=1e-3):
-    """Mean-coupled linear problem whose mean trajectory solves a linear BVP."""
-    n_x = int(round(2 * x_lim / dx)) + 1
-    return Scenario(
-        name="lq_mean", drift=linear_drift(beta),
-        diffusion=constant_diffusion(np.sqrt(2.0)),
-        running_cost=quadratic_cost(rho_uu=1.0, q=0.0, C_x_L=0.0),
-        interaction=mean_interaction(c, mean_bound=1.0),
-        terminal_cost=zero_terminal(),
-        mu0=GaussianLaw(m0, 0.25), T=T, regime="high",
-        grid=Grid1D(-x_lim, x_lim, n_x, dt))
-
-
-def double_well_scenario(c=0.05, T=20.0, x_lim=4.0, dx=0.02, dt=2.5e-4,
-                         mu0_mean=2.0, mu0_var=0.25):
-    n_x = int(round(2 * x_lim / dx)) + 1
-    return Scenario(
-        name="double_well", drift=double_well_drift(box=x_lim),
-        diffusion=constant_diffusion(np.sqrt(2.0)),
-        running_cost=quadratic_cost(rho_uu=1.0, q=0.0, C_x_L=0.0, C_L_osc=0.0),
-        interaction=conv_tanh_interaction(c),
-        terminal_cost=zero_terminal(),
-        mu0=GaussianLaw(mu0_mean, mu0_var), T=T, regime="high",
-        grid=Grid1D(-x_lim, x_lim, n_x, dt))
-
-
-CATALOG = {"ou": ou_scenario, "lq": lq_scenario, "lq_mean": lq_mean_scenario,
-           "double_well": double_well_scenario}
-
-
-# ---------------------------------------------------------------------------
-# scenario files
+CATALOG_DIR = Path(__file__).parent / "scenarios"
 
 _SCHEMA = {
     "name": None,
@@ -781,10 +698,42 @@ _SCHEMA = {
 }
 
 
-def load_scenario(path) -> Scenario:
-    """Load a scenario file, rejecting unknown keys with section pointers."""
+def scenario_path(spec) -> Path:
+    """The file a spec names: a path, or else a catalog entry by name."""
+    if Path(spec).is_file():
+        return Path(spec)
+    builtin = CATALOG_DIR / f"{spec}.json"
+    if not builtin.is_file():
+        raise ConfigError(
+            f"scenario {spec!r}: no such file or catalog entry (choices: "
+            f"{sorted(p.stem for p in CATALOG_DIR.glob('*.json'))})")
+    return builtin
+
+
+def set_by_path(raw, dotted, value):
+    """Set the entry of a raw scenario dict at a dotted path ("grid.n_x")."""
+    head, _, leaf = dotted.partition(".")
+    if head in _SCHEMA and not leaf:
+        raw[head] = value
+        return
+    section = raw.setdefault(head, {}) if head in _SCHEMA else None
+    if not isinstance(section, dict) or leaf not in (_SCHEMA[head] or ()):
+        raise ConfigError(f"unknown scenario path {dotted!r}")
+    section[leaf] = value
+
+
+def load_scenario(spec, overrides=None) -> Scenario:
+    """Load a scenario file or catalog entry, rejecting unknown keys.
+
+    overrides maps dotted paths to values, e.g. {"grid.n_x": 501,
+    "horizon": 1.0}.  They are applied to the raw file before its schema
+    check; an unknown path raises ConfigError.
+    """
+    path = scenario_path(spec)
     with open(path) as fh:
         raw = json.load(fh)
+    for dotted, value in (overrides or {}).items():
+        set_by_path(raw, dotted, value)
     for key in raw:
         if key not in _SCHEMA:
             raise ConfigError(f"unknown top-level key {key!r} in {path}")
@@ -797,7 +746,13 @@ def load_scenario(path) -> Scenario:
                 "horizon", "regime", "name"):
         if key not in raw:
             raise ConfigError(f"missing section {key!r} in {path}")
+    try:
+        return _scenario_from_raw(raw)
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"malformed scenario {path}: {exc!r}") from None
 
+
+def _scenario_from_raw(raw) -> Scenario:
     d = raw["drift"]
     if d["kind"] == "linear":
         drift = linear_drift(d.get("beta", 1.0))

@@ -13,10 +13,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._quad import adaptive_simpson
+from .errors import MfglabError
 
 
-class ProfileError(ValueError):
-    pass
+class ProfileError(MfglabError, ValueError):
+    kind = "config"
 
 
 @dataclass(frozen=True)
@@ -34,16 +35,13 @@ class KReport:
 class MonotonicityProfile:
     """r -> kappa(r) with certification data.
 
-    fn must be vectorized over numpy arrays of radii.  lower_bound and
-    asymptotic_floor are sampled quantities, not proofs; the sampling grid is
-    log-spaced on [r_min, r_max] plus a linear refinement.
+    fn must be vectorized over numpy arrays of radii.  asymptotic_floor is
+    a sampled quantity, not a proof.
     """
     fn: Callable[[np.ndarray], np.ndarray]
     r_min: float
     r_max: float
-    lower_bound: float
     asymptotic_floor: float
-    integrability_integral: float
     name: str = "profile"
     certification: Optional[KReport] = None
 
@@ -96,16 +94,9 @@ def _certify(fn, r_min, r_max, quad_tol=1e-10):
 def make_profile(fn, r_min=1e-6, r_max=50.0, name="profile", quad_tol=1e-10):
     """Build a profile from a vectorized callable and certify it."""
     report = _certify(fn, r_min, r_max, quad_tol)
-    grid = np.unique(np.concatenate([
-        np.geomspace(max(r_min, 1e-9 * r_max), r_max, 1024),
-        np.linspace(max(r_min, 1e-9 * r_max), r_max, 1024)]))
-    vals = np.asarray(fn(grid), dtype=float)
-    return MonotonicityProfile(
-        fn=fn, r_min=r_min, r_max=r_max,
-        lower_bound=float(np.min(vals)),
-        asymptotic_floor=report.floor,
-        integrability_integral=report.integral,
-        name=name, certification=report)
+    return MonotonicityProfile(fn=fn, r_min=r_min, r_max=r_max,
+                               asymptotic_floor=report.floor, name=name,
+                               certification=report)
 
 
 def certify_class_K(profile: MonotonicityProfile, quad_tol=1e-10) -> KReport:

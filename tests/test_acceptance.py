@@ -26,10 +26,9 @@ from mfglab.metrics import (build_quadratic_metric, build_twisted_metric,
                             check_differential_inequality,
                             lemma_kernel_integrals, q_kernel)
 from mfglab.model import (GaussianLaw, Grid1D, Scenario, check_smallness,
-                          constant_diffusion, double_well_scenario,
-                          linear_drift, lq_mean_scenario, lq_scenario,
-                          no_interaction, ou_scenario, policy,
-                          quadratic_cost, sigma_bar, zero_terminal)
+                          constant_diffusion, linear_drift, load_scenario,
+                          no_interaction, policy, quadratic_cost, sigma_bar,
+                          zero_terminal)
 from mfglab.mfg import (frozen_ergodic, solve_ergodic_mfg, solve_mfg,
                         turnpike_report)
 from mfglab.profiles import constant_profile, double_well_profile, \
@@ -167,7 +166,7 @@ def test_criterion_06_drift_gap(tm_ou, ou_diff):
 
 @pytest.fixture(scope="module")
 def lq_solved():
-    sc = lq_scenario()     # beta=1, q=3, gx=1, dx=0.01, dt=1e-4, box [-5,5]
+    sc = load_scenario("lq")  # beta=1, q=3, gx=1, dx=0.01, dt=1e-4, box [-5,5]
     xs = sc.grid.xs
     g = sc.terminal_cost.G(None, xs)
     value = solve_hjb(sc.grid, sc.T, sc.diffusion, sc.drift.b,
@@ -237,7 +236,7 @@ def test_criterion_08_stability(tm_ou):
 
 
 def test_criterion_09_frozen_ergodic():
-    sc = lq_scenario(T=1.0, dx=0.01, dt=2.5e-4)
+    sc = load_scenario("lq", {"grid.dt": 2.5e-4})
     sol = frozen_ergodic(sc, None, tol=1e-13, max_iters=24, tm_bar=None)
     xs = sol.xs
     inner = np.abs(xs) <= 4.0
@@ -258,7 +257,7 @@ def test_criterion_09_frozen_ergodic():
 
 
 def test_criterion_10_full_mfg_oracle():
-    sc = lq_mean_scenario()    # beta=3, c=0.1, dx=0.01, dt=1e-3
+    sc = load_scenario("lq_mean")   # beta=3, c=0.1, dx=0.01, dt=1e-3
     rep = check_smallness(sc)
     assert rep.passes, "calibrated scenario must satisfy the strength bound"
     flow, value, trace, _ = solve_mfg(sc, tol=1e-7, smallness=rep)
@@ -284,7 +283,7 @@ def test_criterion_10_full_mfg_oracle():
                           "certified rate exists, so the envelope and rate "
                           "assertions cannot be evaluated as stated")
 def test_criterion_11_turnpike_verbatim():
-    sc = double_well_scenario(c=0.05, T=20.0)
+    sc = load_scenario("double_well")     # c=0.05, T=20
     rep = check_smallness(sc)
     print(f"[criterion  11] strength value {rep.condition_value:.3e} vs "
           f"threshold {rep.threshold:.3e} (margin {rep.margin:.2e}); "
@@ -297,7 +296,7 @@ def test_criterion_11_turnpike_verbatim():
 @pytest.mark.slow
 def test_criterion_11b_turnpike_calibrated():
     t0 = time.perf_counter()
-    sc = double_well_scenario(c=0.001, T=20.0)
+    sc = load_scenario("double_well_small")   # c=0.001, T=20
     rep = check_smallness(sc)
     assert rep.passes
     sol = solve_ergodic_mfg(sc, smallness=rep)
@@ -319,7 +318,7 @@ def test_criterion_11b_turnpike_calibrated():
 
 
 def test_criterion_12_exact_fixed_point():
-    sc = lq_mean_scenario()
+    sc = load_scenario("lq_mean")
     rep = check_smallness(sc)
     sol = solve_ergodic_mfg(sc, tol=1e-10, inner_tol=1e-11, smallness=rep)
     flow, value, trace, _ = solve_mfg(sc, tol=1e-9, smallness=rep,

@@ -1,10 +1,13 @@
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mfglab.cli import main, resolve_scenario
+from mfglab import _quad, control, couplings, distances, metrics, mfg, model
+from mfglab import profiles
+from mfglab.cli import EXIT_CODES, main
+from mfglab.errors import MfglabError
+from mfglab.model import scenario_path
 
 
 def test_check_catalog_ou(tmp_path):
@@ -18,8 +21,7 @@ def test_check_catalog_ou(tmp_path):
 
 
 def test_malformed_scenario_exit_2(tmp_path):
-    sc, path = resolve_scenario("ou")
-    raw = json.loads(Path(path).read_text())
+    raw = json.loads(scenario_path("ou").read_text())
     raw["grid"]["bogus"] = 1
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
@@ -41,8 +43,7 @@ def test_rates_outputs(tmp_path):
 
 @pytest.fixture(scope="module")
 def quick_mean_scenario(tmp_path_factory):
-    sc, path = resolve_scenario("lq_mean")
-    raw = json.loads(Path(path).read_text())
+    raw = json.loads(scenario_path("lq_mean").read_text())
     raw["grid"] = {"x_min": -3.0, "x_max": 3.0, "n_x": 151, "dt": 2e-3}
     out = tmp_path_factory.mktemp("sc") / "quick_mean.json"
     out.write_text(json.dumps(raw))
@@ -77,17 +78,43 @@ def test_sweep_lambda_star_monotone(tmp_path):
     lam = [float(r.split(",")[1]) for r in rows]
     assert lam[0] >= lam[1] >= lam[2]
     assert all(float(r.split(",")[3]) == 1 for r in rows)
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
 
 
 def test_sweep_bad_param_path(tmp_path):
     code = main(["sweep", "--scenario", "lq_mean", "--out", str(tmp_path),
                  "--param", "interaction.not_a_key.c", "--values", "0.1"])
     assert code == 2
+    for param in ("grid.typo", "horizon.x"):
+        assert main(["sweep", "--scenario", "lq_mean", "--out",
+                     str(tmp_path), "--param", param, "--values", "1"]) == 2
+
+
+def test_numerical_failure_exit_3(tmp_path):
+    # dt = 0.01 puts the explicit advection of the value solve past its CFL
+    # guard (|b| dt / dx = 3 at the box edge): a SchemeError, exit 3
+    raw = json.loads(scenario_path("ou").read_text())
+    raw["grid"]["dt"] = 0.01
+    coarse = tmp_path / "coarse.json"
+    coarse.write_text(json.dumps(raw))
+    assert main(["control", "--scenario", str(coarse), "--out",
+                 str(tmp_path)]) == 3
+
+
+def test_every_error_has_a_kind():
+    classes = [_quad.QuadratureError, _quad.BracketError,
+               control.SchemeError, control.BlowUpError,
+               couplings.CouplingError, distances.TransportError,
+               metrics.MetricError, metrics.DomainError,
+               mfg.FixedPointError, model.EllipticityError,
+               model.ConvexityError, model.ConfigError, profiles.ProfileError]
+    for cls in classes:
+        assert issubclass(cls, MfglabError) and cls.kind in EXIT_CODES, cls
+        assert issubclass(cls, (ValueError, RuntimeError)), cls
 
 
 def test_coupling_subcommand_small(tmp_path):
-    sc, path = resolve_scenario("ou")
-    raw = json.loads(Path(path).read_text())
+    raw = json.loads(scenario_path("ou").read_text())
     raw["mc"] = {"n_paths": 4000, "dt": 1e-3,
                  "master_seed": 20240901, "t_grid": [1.0, 2.0]}
     quick = tmp_path / "ou_small.json"

@@ -5,13 +5,11 @@ from mfglab.control import (BoundLedger, MeasureFlow, SchemeError,
                             hessian_ledger, lipschitz_ledger, optimal_flow,
                             pontryagin_residual, solve_fokker_planck,
                             solve_hjb, stability_ledger,
-                            stationary_density_cc, tv_distance, w1_distance,
-                            wf_distance)
+                            stationary_density_cc)
 from mfglab.metrics import build_twisted_metric
 from mfglab.model import (GaussianLaw, Grid1D, Scenario, constant_diffusion,
-                          linear_drift, lq_scenario, no_interaction,
-                          ou_scenario, quadratic_cost, quadratic_terminal,
-                          zero_terminal)
+                          linear_drift, load_scenario, no_interaction,
+                          quadratic_cost, quadratic_terminal, zero_terminal)
 
 
 def riccati_rk4(beta, q, gx, T, dt=1e-5, sigma_sq=2.0):
@@ -37,7 +35,7 @@ def riccati_rk4(beta, q, gx, T, dt=1e-5, sigma_sq=2.0):
 
 @pytest.fixture(scope="module")
 def lq():
-    return lq_scenario()       # beta=1, q=3, gx=1, T=1, dx=0.01, dt=1e-4
+    return load_scenario("lq")   # beta=1, q=3, gx=1, T=1, dx=0.01, dt=1e-4
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +126,8 @@ def test_fp_mass_conservation_pure_diffusion(fp_grid):
 
 
 def test_optimal_flow_lq_mean():
-    sc = lq_scenario(T=1.0, dx=0.02, dt=1e-3)
+    sc = load_scenario("lq", {"horizon": 1.0, "grid.n_x": 501,
+                              "grid.dt": 1e-3})
     xs = sc.grid.xs
     g = sc.terminal_cost.G(None, xs)
     vf = solve_hjb(sc.grid, sc.T, sc.diffusion, sc.drift.b, sc.running_cost, g)
@@ -140,7 +139,7 @@ def test_optimal_flow_lq_mean():
 
 
 def test_optimal_flow_zero_control_is_uncontrolled():
-    sc = ou_scenario()
+    sc = load_scenario("ou")
     grid = Grid1D(-6.0, 6.0, 601, 1e-3)
     sc = Scenario(name="ou0", drift=sc.drift, diffusion=sc.diffusion,
                   running_cost=sc.running_cost, interaction=sc.interaction,
@@ -192,7 +191,9 @@ def test_lipschitz_ledger_zero_cost_constant_value(tm_b_unit):
 
 def test_hessian_ledger_small_cost_nonvacuous(tm_b_unit):
     # small state cost keeps the shifted profile healthy: finite window
-    sc = lq_scenario(beta=1.0, q=0.02, gx=0.0, T=4.0, dx=0.02, dt=5e-4)
+    sc = load_scenario("lq", {"running_cost.q": 0.02, "terminal_cost.gx": 0.0,
+                              "horizon": 4.0, "grid.n_x": 501,
+                              "grid.dt": 5e-4})
     xs = sc.grid.xs
     vf = solve_hjb(sc.grid, sc.T, sc.diffusion, sc.drift.b, sc.running_cost,
                    np.zeros_like(xs))
@@ -262,7 +263,8 @@ def test_stability_ledger_identical_problems(tm_b_unit):
 
 def test_pontryagin_residual_lq_transient():
     # away from the stationary Riccati point the residual scales with the step
-    sc = lq_scenario(gx=0.0, T=1.0, dx=0.02, dt=2e-4)
+    sc = load_scenario("lq", {"terminal_cost.gx": 0.0, "grid.n_x": 501,
+                              "grid.dt": 2e-4})
     xs = sc.grid.xs
     vf = solve_hjb(sc.grid, sc.T, sc.diffusion, sc.drift.b, sc.running_cost,
                    np.zeros_like(xs))
@@ -291,19 +293,9 @@ def test_pontryagin_zero_problem():
     assert out["rms"][0.01] < 1e-12
 
 
-def test_distance_wrappers(tm_b_unit):
-    grid = Grid1D(-8.0, 8.0, 801, 1e-3)
-    p = GaussianLaw(0.0, 1.0).density(grid.xs)
-    q = GaussianLaw(0.4, 1.0).density(grid.xs)
-    assert w1_distance(p, q, grid) == pytest.approx(0.4, abs=1e-4)
-    assert tv_distance(p, p, grid) == 0.0
-    wf = wf_distance(p, q, grid, tm_b_unit)
-    assert 0.0 < wf <= 0.4 * (1.0 + 1e-6)
-
-
 def test_box_doubling_audit():
     from mfglab.control import box_doubling_check
-    sc = lq_scenario(beta=1.0, q=0.1, gx=0.1, T=1.0, x_lim=5.0, dx=0.02,
-                     dt=5e-4)
+    sc = load_scenario("lq", {"running_cost.q": 0.1, "terminal_cost.gx": 0.1,
+                              "grid.n_x": 501, "grid.dt": 5e-4})
     out = box_doubling_check(sc, lambda xs: 0.05 * xs ** 2)
     assert out["pass"], out

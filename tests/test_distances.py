@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mfglab.distances import (w1_grid, w1_samples, tv_grid, wf_grid, wf_atoms,
-                              w1_atoms, quantile_atoms, f_norm, lip_norm)
+                              quantile_atoms, f_norm, lip_norm)
 from mfglab.metrics import DomainError, build_twisted_metric
 from mfglab.profiles import constant_profile
 
@@ -67,7 +67,7 @@ def test_wf_point_masses(tm):
     # single atoms at 0 and a: the only coupling ships the whole mass
     for a in (0.5, 1.7, 4.0):
         assert wf_atoms([0.0], [a], tm.f) == pytest.approx(tm.f(a), rel=1e-9)
-        assert w1_atoms([0.0], [a]) == a
+        assert w1_samples([0.0], [a]) == a
 
 
 def test_wf_sandwich_random_pairs(grid, tm):
@@ -78,7 +78,7 @@ def test_wf_sandwich_random_pairs(grid, tm):
         atoms_p = quantile_atoms(grid, p, 96)
         atoms_q = quantile_atoms(grid, q, 96)
         wf = wf_atoms(atoms_p, atoms_q, tm.f)
-        w1 = w1_atoms(atoms_p, atoms_q)
+        w1 = w1_samples(atoms_p, atoms_q)
         assert wf <= w1 * (1.0 + 1e-9)
         assert wf >= tm.C * w1 * (1.0 - 1e-9)
 

@@ -8,8 +8,7 @@ from mfglab.mfg import (FixedPointError, frozen_ergodic, frozen_solve,
                         moment_bound, solve_ergodic_mfg, solve_mfg,
                         tau_prime_bounded, turnpike_constants,
                         turnpike_report)
-from mfglab.model import (GaussianLaw, check_smallness, double_well_scenario,
-                          lq_mean_scenario, lq_scenario, ou_scenario)
+from mfglab.model import GaussianLaw, check_smallness, load_scenario
 
 
 def shoot_mean_traj(beta, c, m0, T, n=4001):
@@ -47,11 +46,11 @@ def shoot_mean_traj(beta, c, m0, T, n=4001):
 
 @pytest.fixture(scope="module")
 def lq_mean_quick():
-    return lq_mean_scenario(dx=0.02, dt=2e-3)
+    return load_scenario("lq_mean", {"grid.n_x": 301, "grid.dt": 2e-3})
 
 
 def test_frozen_ergodic_lq_oracle():
-    sc = lq_scenario(T=1.0, dx=0.01, dt=2.5e-4)
+    sc = load_scenario("lq", {"grid.dt": 2.5e-4})
     sol = frozen_ergodic(sc, None, tol=1e-9, tm_bar=None)
     xs = sol.xs
     inner = np.abs(xs) <= 4.0
@@ -64,7 +63,7 @@ def test_frozen_ergodic_lq_oracle():
 
 
 def test_frozen_ergodic_trivial_zero():
-    sc = ou_scenario(n_paths=10)
+    sc = load_scenario("ou")
     sol = frozen_ergodic(sc, None, tol=1e-10, tm_bar=None)
     assert abs(sol.eta) < 1e-9
     assert np.max(np.abs(sol.phi_inf)) < 1e-9
@@ -117,7 +116,7 @@ def test_frozen_solve_matches_linear_oracle(lq_mean_quick):
 
 
 def test_solve_mfg_trivial_one_sweep():
-    sc = ou_scenario(n_paths=10)
+    sc = load_scenario("ou")
     flow, value, trace, rep = solve_mfg(sc, tol=1e-8)
     assert len(trace) == 1
     assert trace[0]["sup_w1_change"] < 1e-12
@@ -140,7 +139,7 @@ def test_solve_mfg_lq_mean_oracle(lq_mean_quick):
 
 
 def test_solve_ergodic_trivial_one_outer():
-    sc = ou_scenario(n_paths=10)
+    sc = load_scenario("ou")
     sol = solve_ergodic_mfg(sc, tol=1e-9, inner_tol=1e-10)
     assert len(sol.outer_trace) == 1
     # stationary law of the unit drift: N(0, 1)
@@ -167,9 +166,37 @@ def test_solve_ergodic_lq_mean(lq_mean_quick):
 
 
 def test_ergodic_refuses_without_force():
-    sc = double_well_scenario()      # fails the strength condition
+    sc = load_scenario("double_well")      # fails the strength condition
     with pytest.raises(FixedPointError, match="force"):
         solve_ergodic_mfg(sc)
+
+
+def test_solve_mfg_refuses_without_force(lq_mean_quick):
+    sc = load_scenario("double_well")      # fails the strength condition
+    with pytest.raises(FixedPointError, match="force") as info:
+        solve_mfg(sc)
+    assert info.value.trace == []
+    # an unconverged iteration carries its Picard trace
+    with pytest.raises(FixedPointError, match="no fixed point") as info:
+        solve_mfg(lq_mean_quick, tol=1e-14, max_iters=1,
+                  track_contraction=False)
+    assert [e["iter"] for e in info.value.trace] == [1]
+
+
+def test_turnpike_flow_bound_holds_at_start():
+    # small c: W_f(0) sits well below W1(0), so an envelope on W_f compared
+    # with the measured W1 fails at t = 0 unless it is divided by C_bar
+    sc = load_scenario("lq_mean", {"interaction.c": 0.02, "mu0.mean": 0.4,
+                                   "grid.n_x": 301, "grid.dt": 2e-3})
+    rep = check_smallness(sc)
+    sol = solve_ergodic_mfg(sc, smallness=rep)
+    flow, value, _, _ = solve_mfg(sc, tol=1e-6, smallness=rep)
+    report = turnpike_report(sc, flow, value, sol, rep)
+    tc = report.constants
+    assert report.W0 < report.d_flow[0]
+    assert report.bound_flow[0] >= tc.C_i * report.W0 / rep.tm_bar.C
+    assert report.bound_flow[0] >= report.d_flow[0]
+    assert report.verdicts["flow_bound"]
 
 
 def test_turnpike_constants_levels(lq_mean_quick):
@@ -189,7 +216,7 @@ def test_turnpike_constants_levels(lq_mean_quick):
 
 
 def test_turnpike_constants_require_rate():
-    sc = double_well_scenario()
+    sc = load_scenario("double_well")
     rep = check_smallness(sc)
     xs = sc.grid.xs
     with pytest.raises(DomainError):

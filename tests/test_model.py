@@ -1,17 +1,16 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from mfglab.model import (ConfigError, EllipticityError, GaussianLaw,
-                          GridDensity, ParticleCloud, Grid1D, Scenario,
-                          check_smallness, constant_diffusion,
-                          double_well_scenario, hamiltonian, linear_drift,
-                          load_scenario, lq_mean_scenario, lq_scenario,
-                          mean_interaction, no_interaction, ou_scenario,
-                          policy, policy_gap_bound, probe_assumptions,
-                          quadratic_cost, sigma_bar, varying_diffusion,
-                          zero_terminal)
+from mfglab.model import (CATALOG_DIR, ConfigError, EllipticityError,
+                          GaussianLaw, GridDensity, ParticleCloud, Grid1D,
+                          Scenario, check_smallness, constant_diffusion,
+                          hamiltonian, linear_drift, load_scenario,
+                          mean_interaction, no_interaction, policy,
+                          policy_gap_bound, probe_assumptions, quadratic_cost,
+                          sigma_bar, varying_diffusion, zero_terminal)
 
 
 def test_sigma_bar_constant_isotropic():
@@ -115,13 +114,13 @@ def test_policy_gap_tanh_perturbation():
 
 
 def test_smallness_no_interaction_full_margin():
-    rep = check_smallness(ou_scenario(n_paths=10))
+    rep = check_smallness(load_scenario("ou"))
     assert rep.passes and rep.margin == np.inf
     assert rep.lambda_star == pytest.approx(rep.tm_bar.lam)
 
 
 def test_smallness_lq_mean_passes():
-    rep = check_smallness(lq_mean_scenario())
+    rep = check_smallness(load_scenario("lq_mean"))
     assert rep.passes
     assert rep.margin > 2.0
     assert 0.0 < rep.lambda_star < rep.tm_bar.lam
@@ -135,7 +134,7 @@ def test_smallness_lq_mean_passes():
 
 
 def test_smallness_boundary_is_a_failure():
-    sc = lq_mean_scenario()
+    sc = load_scenario("lq_mean")
     rep = check_smallness(sc)
     from mfglab.model import InteractionSpec
     boundary = InteractionSpec(kind="mean", value=sc.interaction.value,
@@ -151,17 +150,94 @@ def test_smallness_boundary_is_a_failure():
 
 
 def test_smallness_double_well_catalog_fails():
-    rep = check_smallness(double_well_scenario())
+    rep = check_smallness(load_scenario("double_well"))
     assert not rep.passes
     assert rep.lambda_star == 0.0
 
 
+CATALOG_NAMES = sorted(p.stem for p in CATALOG_DIR.glob("*.json"))
+
+
 def test_probes_pass_on_catalog():
-    for sc in (ou_scenario(n_paths=10), lq_scenario(), lq_mean_scenario(),
-               double_well_scenario(c=0.001)):
-        report = probe_assumptions(sc, n=1000, seed=0)
+    assert CATALOG_NAMES == ["double_well", "double_well_small", "lq",
+                             "lq_mean", "ou"]
+    for name in CATALOG_NAMES:
+        report = probe_assumptions(load_scenario(name), n=1000, seed=0)
         bad = {k: v for k, v in report.items() if not v["pass"]}
-        assert not bad, (sc.name, bad)
+        assert not bad, (name, bad)
+
+
+def test_derived_constants_follow_overrides():
+    # C_x_L = q * x_lim is derived at load time, so a q override moves it
+    sc = load_scenario("lq", {"running_cost.q": 6.0})
+    assert sc.running_cost.C_x_L == 30.0
+    assert sc.running_cost.C_L_osc is None
+    report = probe_assumptions(sc, n=1000, seed=0)
+    assert report["running_cost_x_lipschitz"]["pass"], report
+    wide = load_scenario("lq", {"grid.x_min": -6.0, "grid.x_max": 6.0,
+                                "grid.n_x": 601})
+    assert wide.running_cost.C_x_L == 18.0
+
+
+def _fields(obj, prefix=""):
+    """Every non-callable leaf field of nested dataclasses, by dotted name."""
+    out = {}
+    for f in dataclasses.fields(obj):
+        val = getattr(obj, f.name)
+        if dataclasses.is_dataclass(val):
+            out.update(_fields(val, f"{prefix}{f.name}."))
+        elif not callable(val):
+            out[prefix + f.name] = val
+    return out
+
+
+# the derived constants the catalog files declared explicitly until they
+# were left to the loader
+EXPLICIT_CONSTANTS = {
+    "ou": {"C_x_L": 0.0, "C_L_osc": 0.0},
+    "lq": {"C_x_L": 15.0},
+    "lq_mean": {"C_x_L": 0.0, "C_L_osc": 0.0},
+    "double_well": {"C_x_L": 0.0, "C_L_osc": 0.0},
+    "double_well_small": {"C_x_L": 0.0, "C_L_osc": 0.0},
+}
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_catalog_matches_explicit_constants(name):
+    explicit = load_scenario(name, {f"running_cost.{k}": v for k, v in
+                                    EXPLICIT_CONSTANTS[name].items()})
+    assert _fields(load_scenario(name)) == _fields(explicit)
+
+
+def test_catalog_reconciled_values():
+    lq, lq_mean = load_scenario("lq"), load_scenario("lq_mean")
+    assert lq.mc.t_grid == (0.5, 1.0)
+    assert lq_mean.mc.t_grid == (0.5, 1.0, 2.0)
+    assert lq_mean.running_cost.C_L_osc == 0.0
+    assert lq.running_cost.C_L_osc is None
+
+
+def test_override_paths(tmp_path):
+    sc = load_scenario("lq", {"horizon": 2.0, "grid.n_x": 501,
+                              "mc.master_seed": 3})
+    assert (sc.T, sc.grid.n_x, sc.mc.master_seed) == (2.0, 501, 3)
+    for bad in ("grid.typo", "typo", "horizon.x", "grid.n_x.y",
+                "interaction.not_a_key.c"):
+        with pytest.raises(ConfigError):
+            load_scenario("lq", {bad: 1.0})
+    # a section the file omits is created, with the loader's defaults
+    raw = json.loads(json.dumps(SCENARIO_JSON))
+    del raw["mc"]
+    path = tmp_path / "no_mc.json"
+    path.write_text(json.dumps(raw))
+    sc = load_scenario(path, {"mc.master_seed": 11})
+    assert sc.mc.master_seed == 11 and sc.mc.n_paths == 20_000
+    with pytest.raises(ConfigError, match="KeyError"):
+        load_scenario(path, {"interaction": {"c": 0.1}})
+    with pytest.raises(ConfigError, match="TypeError"):
+        load_scenario(path, {"mc.t_grid": 1.0})
+    with pytest.raises(ConfigError, match="no such file or catalog entry"):
+        load_scenario("no_such_catalog")
 
 
 def test_probes_nonconstant_sigma():
@@ -273,7 +349,7 @@ def test_smallness_low_regime():
 
 
 def test_smallness_relaxed_condition():
-    base = lq_mean_scenario()
+    base = load_scenario("lq_mean")
     sc = Scenario(name="relaxed", drift=base.drift, diffusion=base.diffusion,
                   running_cost=base.running_cost,
                   interaction=base.interaction,

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import __version__
 from .errors import MfglabError
-from .model import (GaussianLaw, check_smallness, load_scenario,
-                    probe_assumptions, scenario_path)
+from .model import (ConfigError, GaussianLaw, check_smallness,
+                    load_scenario, probe_assumptions, scenario_path)
 from .metrics import (DomainError, check_differential_inequality, q_kernel,
                       save_metric)
 from .couplings import CouplingConfig, moment_diagnostic, simulate_coupling
@@ -331,10 +331,19 @@ COMMANDS = {"rates": cmd_rates, "coupling": cmd_coupling,
             "turnpike": cmd_turnpike, "check": cmd_check}
 
 
+def _sweep_value(text):
+    """One --values entry as JSON, so that 301 stays an integer."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        raise ConfigError(f"sweep value {text!r} is not a JSON value "
+                          f"(quote strings)") from None
+
+
 def cmd_sweep(args, out_root):
     rows = []
     exit_code = 0
-    for value in [float(v) for v in args.values.split(",")]:
+    for value in [_sweep_value(v) for v in args.values.split(",")]:
         # a scenario the loader rejects is a configuration error (exit 2);
         # a value whose strength condition cannot be evaluated is recorded
         sc, _ = resolve_scenario(args.scenario, args.seed,

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .distances import f_norm, lip_norm, tv_grid
 from .errors import MfglabError
@@ -28,32 +29,37 @@ class BlowUpError(MfglabError, RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# tridiagonal helper
+# tridiagonal kernel (LAPACK)
 
-def thomas_solve(sub, diag, sup, rhs):
-    """Solve a tridiagonal system (LAPACK banded storage underneath)."""
-    from scipy.linalg import solve_banded
-    n = len(diag)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = sup
-    ab[1] = diag
-    ab[2, :-1] = sub
-    return solve_banded((1, 1), ab, rhs, check_finite=False)
+def _check_info(info, routine):
+    if info != 0:
+        raise SchemeError(f"tridiagonal {routine} failed (LAPACK info "
+                          f"{info}: singular or invalid system)")
 
 
-class TridiagSolver:
-    """Prefactored LU of a fixed tridiagonal matrix (one factorization)."""
+def tridiag_solve(sub, diag, sup, rhs):
+    """Solve one tridiagonal system with LAPACK ``dgtsv``.
+
+    The four arrays are LAPACK workspace: contiguous float64 inputs are
+    overwritten, and the solution is returned in the storage of rhs.
+    """
+    *_, x, info = lapack.dgtsv(sub, diag, sup, rhs, True, True, True, True)
+    _check_info(info, "dgtsv")
+    return x
+
+
+class TridiagLU:
+    """LU of a fixed tridiagonal matrix: ``dgttrf`` once, ``dgttrs`` per
+    right-hand side (which is overwritten by the solution)."""
 
     def __init__(self, sub, diag, sup):
-        from scipy import sparse
-        from scipy.sparse.linalg import splu
-        n = len(diag)
-        mat = sparse.diags([sub, diag, sup], offsets=(-1, 0, 1),
-                           format="csc")
-        self._lu = splu(mat)
+        *self._factors, info = lapack.dgttrf(sub, diag, sup)
+        _check_info(info, "dgttrf")
 
     def solve(self, rhs):
-        return self._lu.solve(rhs)
+        x, info = lapack.dgttrs(*self._factors, rhs, overwrite_b=True)
+        _check_info(info, "dgttrs")
+        return x
 
 
 def gradient_second_order(phi, dx):
@@ -101,15 +107,15 @@ class ValueFunction:
         return i
 
     def grad_at(self, t):
-        """Time-interpolated gradient field."""
+        """Time-interpolated gradient field, held constant outside the
+        stored times; a 1-D array of times gives one row per time."""
         ts = self.times
-        if t <= ts[0]:
-            return self.grad[0]
-        if t >= ts[-1]:
-            return self.grad[-1]
-        i = int(np.searchsorted(ts, t))
-        w = (t - ts[i - 1]) / (ts[i] - ts[i - 1])
-        return (1.0 - w) * self.grad[i - 1] + w * self.grad[i]
+        tt = np.atleast_1d(np.asarray(t, dtype=float))
+        i = np.clip(np.searchsorted(ts, tt), 1, len(ts) - 1)
+        w = np.clip((tt - ts[i - 1]) / (ts[i] - ts[i - 1]), 0.0, 1.0)
+        w = w[:, None]
+        g = (1.0 - w) * self.grad[i - 1] + w * self.grad[i]
+        return g if np.ndim(t) else g[0]
 
     def hess(self, i):
         dx = self.xs[1] - self.xs[0]
@@ -179,7 +185,8 @@ def solve_hjb(grid: Grid1D, T, diffusion: DiffusionSpec, drift_b: Callable,
     sup = np.concatenate([[0.0], -half[1:-1]])
     diag = np.ones_like(xs)
     diag[1:-1] += 2.0 * half[1:-1]
-    solver = TridiagSolver(sub, diag, sup)
+    solver = TridiagLU(sub, diag, sup)
+    sig2_min = np.min(sig2)
 
     store = _store_plan(n_steps, max_slices)
     store_set = {int(k): j for j, k in enumerate(store)}
@@ -195,10 +202,11 @@ def solve_hjb(grid: Grid1D, T, diffusion: DiffusionSpec, drift_b: Callable,
         g = gradient_second_order(phi, dx)
         w = policy(cost, xs, g)
         a = b + w
-        if np.max(np.abs(a)) > peclet_lim:
+        a_max = np.abs(a).max()
+        if a_max > peclet_lim:
             raise SchemeError("explicit advection violates the CFL guard; "
                               "reduce dt or enlarge the box")
-        if np.max(np.abs(a)) * dx > np.min(sig2):
+        if a_max * dx > sig2_min:
             g = upwind_gradient(phi, dx, a)
             w = policy(cost, xs, g)
             a = b + w
@@ -210,12 +218,13 @@ def solve_hjb(grid: Grid1D, T, diffusion: DiffusionSpec, drift_b: Callable,
             break
         ham = cost.L(xs, w) + a * g
         if source is not None:
-            ham = ham + source(t, xs)
+            ham += source(t, xs)
         rhs = phi + dt * ham
         phi = solver.solve(rhs)
-        if not np.all(np.isfinite(phi)):
+        phi_max = np.abs(phi).max()       # NaN or inf if any entry is
+        if not np.isfinite(phi_max):
             raise BlowUpError(f"value function blew up at t={t - dt:g}")
-        if np.max(np.abs(phi)) > 1e12:
+        if phi_max > 1e12:
             raise BlowUpError("value function overflow guard tripped")
 
     return ValueFunction(times=store * dt, xs=xs, phi=phi_out, grad=grad_out)
@@ -224,34 +233,38 @@ def solve_hjb(grid: Grid1D, T, diffusion: DiffusionSpec, drift_b: Callable,
 # ---------------------------------------------------------------------------
 # forward Fokker-Planck (conservative exponential fitting)
 
-def _cc_delta(w):
-    """Exponential-fitting weight: 1/w - 1/(e^w - 1), stable near 0."""
-    out = np.empty_like(w)
-    small = np.abs(w) < 1e-6
-    ws = w[small]
-    out[small] = 0.5 - ws / 12.0
-    wb = w[~small]
-    wb = np.clip(wb, -500.0, 500.0)
-    out[~small] = 1.0 / wb - 1.0 / np.expm1(wb)
+# Steps whose coefficients are assembled together.  The block's arrays are
+# the solver's only temporaries beyond one density, so this bounds its
+# working set independently of the horizon.
+_FP_BLOCK = 64
+
+
+def _bernoulli(w):
+    """B(w) = w / (e^w - 1), with B(0) = 1; expm1 keeps it accurate near 0."""
+    with np.errstate(all="ignore"):      # w = 0 is set below; B(+inf) = 0
+        out = w / np.expm1(w)
+    zero = w == 0.0
+    if zero.any():
+        out[zero] = 1.0
     return out
 
 
 def _cc_matrix(beta_mid, D_mid, dx):
-    """Tridiagonal generator m' = A m of the no-flux finite-volume scheme."""
+    """Tridiagonal generator m' = A m of the no-flux finite-volume scheme.
+
+    beta_mid holds face drifts along its last axis; leading axes (steps of
+    a time block) carry through to the returned (sub, diag, sup).
+    """
     w = beta_mid * dx / D_mid
-    delta = _cc_delta(w)
-    # flux through face i+1/2: lo * m_i + hi * m_{i+1}
-    lo = beta_mid * (1.0 - delta) + D_mid / dx
-    hi = beta_mid * delta - D_mid / dx
-    n = len(beta_mid) + 1
-    diag = np.zeros(n)
-    sub = np.zeros(n - 1)
-    sup = np.zeros(n - 1)
+    c = D_mid / dx ** 2
+    # flux through face i+1/2: J = dx (sub m_i - sup m_{i+1}), with
+    # sub = c B(-w) = c (B(w) + w) and sup = c B(w) >= 0
+    sup = c * _bernoulli(w)
+    sub = sup + c * w
+    diag = np.zeros(beta_mid.shape[:-1] + (beta_mid.shape[-1] + 1,))
     # d m_i / dt = (J_{i-1/2} - J_{i+1/2}) / dx with J_{-1/2} = J_{n-1/2} = 0
-    diag[:-1] -= lo / dx
-    sup[:] -= hi / dx
-    diag[1:] += hi / dx
-    sub[:] += lo / dx
+    diag[..., :-1] -= sub
+    diag[..., 1:] -= sup
     return sub, diag, sup
 
 
@@ -261,9 +274,12 @@ def solve_fokker_planck(grid: Grid1D, T, diffusion: DiffusionSpec,
                         mass_tol=1e-6) -> MeasureFlow:
     """Forward conservative solve of the marginal-flow PDE.
 
-    beta(t, xs) is the full drift of the controlled state.  Mass is
-    conserved by construction up to solver roundoff; a drift beyond
-    mass_tol aborts the run.
+    beta(t, xs) is the full drift of the controlled state at the cell
+    faces xs.  It is called once per block of steps with t a column of
+    step times, shape (B, 1), and must return an array that broadcasts to
+    (B, len(xs)); a drift that does not depend on time may return shape
+    (len(xs),).  Mass is conserved by construction up to solver roundoff;
+    a drift beyond mass_tol aborts the run.
     """
     xs = grid.xs
     dx = grid.dx
@@ -287,27 +303,36 @@ def solve_fokker_planck(grid: Grid1D, T, diffusion: DiffusionSpec,
     if 0 in store_set:
         out[store_set[0]] = m
 
-    eye = np.ones_like(xs)
-    for k in range(n_steps):
-        t_mid = (k + 0.5) * dt
+    for k0 in range(0, n_steps, _FP_BLOCK):
+        ks = np.arange(k0, min(k0 + _FP_BLOCK, n_steps))
+        t_mid = ((ks + 0.5) * dt)[:, None]
         beta_mid = np.asarray(beta(t_mid, x_mid), dtype=float) - Dp_mid
+        beta_mid = np.broadcast_to(beta_mid, (len(ks), len(x_mid)))
         sub, diag, sup = _cc_matrix(beta_mid, D_mid, dx)
-        th = 1.0 if k < rannacher else theta
-        rhs = m + (1.0 - th) * dt * _apply_tridiag(sub, diag, sup, m)
-        m = thomas_solve(-th * dt * sub, eye - th * dt * diag,
-                         -th * dt * sup, rhs)
-        if not np.all(np.isfinite(m)):
-            raise BlowUpError(f"density blew up at t={(k + 1) * dt:g}")
-        if np.min(m) < -1e-9:
-            raise SchemeError(f"density negativity {np.min(m):.2e} at "
-                              f"t={(k + 1) * dt:g}")
-        m = np.maximum(m, 0.0)
-        mass = float(np.sum(m) * dx)
-        if abs(mass - 1.0) > mass_tol:
-            raise SchemeError(f"mass drift {mass - 1.0:.2e} exceeds "
-                              f"{mass_tol:g}")
-        if (k + 1) in store_set:
-            out[store_set[k + 1]] = m
+        # theta stepping: (I - th dt A) m_{k+1} = (I + (1 - th) dt A) m_k,
+        # fully implicit for the first `rannacher` steps
+        th = np.where(ks < rannacher, 1.0, theta)[:, None]
+        ex, im = (1.0 - th) * dt, th * dt
+        explicit = zip(ex * sub, 1.0 + ex * diag, ex * sup)
+        implicit = zip(-im * sub, 1.0 - im * diag, -im * sup)
+        for k, ex_k, im_k in zip(ks.tolist(), explicit, implicit):
+            m = tridiag_solve(*im_k, _apply_tridiag(*ex_k, m))
+            total = m.sum()
+            if not np.isfinite(total):        # NaN or inf if any entry is
+                raise BlowUpError(f"density blew up at t={(k + 1) * dt:g}")
+            m_min = m.min()
+            if m_min < -1e-9:
+                raise SchemeError(f"density negativity {m_min:.2e} at "
+                                  f"t={(k + 1) * dt:g}")
+            if m_min < 0.0:
+                np.maximum(m, 0.0, out=m)
+                total = m.sum()
+            mass = float(total * dx)
+            if abs(mass - 1.0) > mass_tol:
+                raise SchemeError(f"mass drift {mass - 1.0:.2e} exceeds "
+                                  f"{mass_tol:g}")
+            if (k + 1) in store_set:
+                out[store_set[k + 1]] = m
     return MeasureFlow(times=store * dt, xs=xs, densities=out)
 
 
@@ -344,7 +369,14 @@ def optimal_flow(value: ValueFunction, scenario: Scenario,
     cost = scenario.running_cost
 
     def beta(t, x):
-        g = np.interp(x, value.xs, value.grad_at(t))
+        # gradient slices in time on the nodes (one row per step of the
+        # block), then onto the faces x with np.interp's formula
+        g_nodes = value.grad_at(np.ravel(t))
+        xs = value.xs
+        j = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
+        g_lo = g_nodes[:, j]
+        g = (g_nodes[:, j + 1] - g_lo) / (xs[j + 1] - xs[j]) * (x - xs[j])
+        g += g_lo
         return np.asarray(b(x), dtype=float) + policy(cost, x, g)
 
     T = float(value.times[-1])

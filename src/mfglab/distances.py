@@ -21,22 +21,45 @@ class TransportError(MfglabError, RuntimeError):
 
 
 def _check_density(x, p, tol=1e-8):
-    mass = float(np.trapezoid(p, x))
-    if abs(mass - 1.0) > tol:
-        raise DomainError(f"density mass {mass:.3e} is not 1 within {tol:g}")
+    mass = np.atleast_1d(np.trapezoid(p, x, axis=-1))
+    off = np.abs(mass - 1.0) > tol
+    if np.any(off):
+        raise DomainError(f"density mass {mass[off][0]:.3e} is not 1 "
+                          f"within {tol:g}")
     if np.any(p < -1e-12):
         raise DomainError("density has negative values")
 
 
+# rows of a density stack per pass of w1_grid: bounds its temporaries by
+# the slab, not by the stack
+_W1_ROWS = 64
+
+
+def _w1_rows(x, p, q):
+    """W1 of density pairs along the last axis."""
+    dx = np.diff(x)
+    cp = np.cumsum(0.5 * (p[..., 1:] + p[..., :-1]) * dx, axis=-1)
+    cq = np.cumsum(0.5 * (q[..., 1:] + q[..., :-1]) * dx, axis=-1)
+    gap = np.abs(cp - cq)
+    # the CDFs are 0 at x[0]
+    gap = np.concatenate([np.zeros(gap.shape[:-1] + (1,)), gap], axis=-1)
+    return np.trapezoid(gap, x, axis=-1)
+
+
 def w1_grid(x, p, q, check=True):
-    """Exact W1 between two densities on a common grid (L1 of CDFs)."""
+    """Exact W1 between two densities on a common grid (L1 of CDFs).
+
+    p and q may be stacks of densities, shape (n_rows, len(x)); the result
+    then holds one W1 per pair of rows, computed a slab of rows at a time.
+    """
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     if check:
         _check_density(x, p)
         _check_density(x, q)
-    dx = np.diff(x)
-    cp = np.concatenate([[0.0], np.cumsum(0.5 * (p[1:] + p[:-1]) * dx)])
-    cq = np.concatenate([[0.0], np.cumsum(0.5 * (q[1:] + q[:-1]) * dx)])
-    return float(np.trapezoid(np.abs(cp - cq), x))
+    if p.ndim == 1:
+        return float(_w1_rows(x, p, q))
+    return np.concatenate([_w1_rows(x, p[i:i + _W1_ROWS], q[i:i + _W1_ROWS])
+                           for i in range(0, len(p), _W1_ROWS)])
 
 
 def w1_samples(a, b):

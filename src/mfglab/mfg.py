@@ -143,20 +143,22 @@ def solve_mfg(scenario: Scenario, tol=1e-5, max_iters=30, theta=1.0,
     idx = _flow_metric_times(flow)
     trace = []
     prev_back = None
-    value = None
     for it in range(1, max_iters + 1):
         if terminal_values is not None:
             g = np.asarray(terminal_values, dtype=float)
         else:
             muT = GridDensity(xs, flow.at(scenario.T))
             g = scenario.terminal_cost.G(muT, xs)
+        # release the last sweep's value before the next solve allocates
+        # its own: two value tables alive at once set the peak memory
+        value = None
         value, new_flow = frozen_solve(scenario, flow, g, mu0_density)
         if theta != 1.0:
             blended = (1.0 - theta) * flow.densities + theta * new_flow.densities
             new_flow = MeasureFlow(times=new_flow.times, xs=xs,
                                    densities=blended)
-        change = max(w1_grid(xs, new_flow.densities[i], flow.densities[i],
-                             check=False) for i in idx)
+        change = float(np.max(w1_grid(xs, new_flow.densities,
+                                      flow.densities, check=False)))
         entry = {"iter": it, "sup_w1_change": change}
         if track_contraction and lam_w > 0.0 and not tm_bar.degenerate:
             back = max(np.exp(lam_w * (scenario.T - flow.times[i]))

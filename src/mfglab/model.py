@@ -153,7 +153,7 @@ def linear_drift(beta, r_max=50.0):
 
 
 def double_well_drift(r_max=50.0, box=5.0):
-    return DriftSpec(b=lambda x: x - x ** 3, growth_p=3, growth_K=1.0,
+    return DriftSpec(b=lambda x: x - x * x * x, growth_p=3, growth_K=1.0,
                      profile=double_well_profile(r_max=r_max),
                      C_x_b=3.0 * box ** 2 - 1.0, rho_b=None)
 
@@ -179,8 +179,15 @@ def quadratic_cost(rho_uu=1.0, q=0.0, lin_u=0.0, C_x_L=None, C_L_osc=None):
     rho = float(rho_uu)
 
     def L(x, u):
-        return (0.5 * rho * u ** 2 + lin_u * u
-                + 0.5 * q * np.asarray(x, dtype=float) ** 2)
+        # called once per value-solver step: a zero term adds exactly 0,
+        # so it is skipped rather than evaluated
+        cost = 0.5 * rho * (u * u)
+        if lin_u:
+            cost = cost + lin_u * u
+        if q:
+            x = np.asarray(x, dtype=float)
+            cost = cost + 0.5 * q * (x * x)
+        return cost
 
     return RunningCostSpec(
         L=L, dLu=lambda x, u: rho * u + lin_u,
@@ -698,6 +705,10 @@ _SCHEMA = {
 }
 
 
+# counts and seeds: a float such as 301.0 would load but break later
+_INTEGER_FIELDS = (("grid", "n_x"), ("mc", "n_paths"), ("mc", "master_seed"))
+
+
 def scenario_path(spec) -> Path:
     """The file a spec names: a path, or else a catalog entry by name."""
     if Path(spec).is_file():
@@ -746,6 +757,13 @@ def load_scenario(spec, overrides=None) -> Scenario:
                 "horizon", "regime", "name"):
         if key not in raw:
             raise ConfigError(f"missing section {key!r} in {path}")
+    for head, leaf in _INTEGER_FIELDS:
+        section = raw.get(head)
+        value = section.get(leaf, 0) if isinstance(section, dict) else 0
+        if isinstance(value, bool) or not isinstance(value,
+                                                     (int, np.integer)):
+            raise ConfigError(f"{head}.{leaf} must be an integer, got "
+                              f"{value!r} in {path}")
     try:
         return _scenario_from_raw(raw)
     except (KeyError, TypeError) as exc:

@@ -81,6 +81,19 @@ def test_sweep_lambda_star_monotone(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
 
 
+def test_sweep_integer_values(tmp_path):
+    # JSON parsing keeps 301 an integer, so grid.n_x is sweepable
+    code = main(["sweep", "--scenario", "lq_mean", "--out", str(tmp_path),
+                 "--param", "grid.n_x", "--values", "301,401"])
+    assert code == 0
+    rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == ["301", "401"]
+    assert main(["sweep", "--scenario", "lq_mean", "--out", str(tmp_path),
+                 "--param", "grid.n_x", "--values", "301.0"]) == 2
+    assert main(["sweep", "--scenario", "lq_mean", "--out", str(tmp_path),
+                 "--param", "regime", "--values", "high"]) == 2
+
+
 def test_sweep_bad_param_path(tmp_path):
     code = main(["sweep", "--scenario", "lq_mean", "--out", str(tmp_path),
                  "--param", "interaction.not_a_key.c", "--values", "0.1"])

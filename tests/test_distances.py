@@ -28,6 +28,19 @@ def test_w1_gaussian_shift(grid):
     assert w1_grid(grid, p, q) == pytest.approx(0.7, abs=1e-6)
 
 
+def test_w1_stacked_equals_per_row(grid):
+    # one call on stacked densities gives each row's scalar W1, exactly
+    means = np.linspace(-1.0, 1.0, 9)
+    p = np.stack([gauss(grid, m, 1.0) for m in means])
+    q = np.stack([gauss(grid, 0.3 * m, 0.5 + m * m) for m in means])
+    stacked = w1_grid(grid, p, q)
+    assert stacked.shape == (len(means),)
+    np.testing.assert_array_equal(
+        stacked, [w1_grid(grid, p[i], q[i]) for i in range(len(means))])
+    with pytest.raises(DomainError):
+        w1_grid(grid, p, np.concatenate([q[:-1], 2.0 * q[-1:]]))
+
+
 def test_w1_samples_matches_grid():
     rng = np.random.default_rng(5)
     a = rng.normal(0.0, 1.0, 40_000)

@@ -238,6 +238,11 @@ def test_override_paths(tmp_path):
         load_scenario(path, {"mc.t_grid": 1.0})
     with pytest.raises(ConfigError, match="no such file or catalog entry"):
         load_scenario("no_such_catalog")
+    # a float count would load and fail later, inside np.linspace
+    for dotted, bad in (("grid.n_x", 301.0), ("mc.n_paths", True)):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            load_scenario("lq", {dotted: bad})
+    assert load_scenario("lq", {"grid.n_x": 301}).grid.xs.shape == (301,)
 
 
 def test_probes_nonconstant_sigma():

@@ -9,8 +9,8 @@ from .profiles import (MonotonicityProfile, KReport, make_profile,
                        profile_of_drift, shift_profile)
 from .metrics import (TwistedMetric, QuadraticTwistedMetric,
                       build_twisted_metric, build_quadratic_metric,
-                      check_differential_inequality, q_kernel, q_kernel_arr,
-                      q_integral, q_weighted_integral,
+                      check_differential_inequality, q_kernel, q_integral,
+                      q_weighted_integral,
                       lemma_kernel_integrals, save_metric, load_metric)
 from .model import (Scenario, Grid1D, MCConfig, GaussianLaw, DiffusionSpec,
                     DriftSpec, RunningCostSpec, InteractionSpec,

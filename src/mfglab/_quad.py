@@ -8,6 +8,9 @@ monotone functions.
 
 from .errors import MfglabError
 
+# absolute tolerance of the metric, profile and kernel-integral quadratures
+QUAD_TOL = 1e-10
+
 
 class QuadratureError(MfglabError, RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
@@ -19,7 +22,7 @@ class BracketError(MfglabError, RuntimeError):
     kind = "numerical"
 
 
-def adaptive_simpson(fn, a, b, tol=1e-10, max_depth=48, rel=0.0):
+def adaptive_simpson(fn, a, b, tol=QUAD_TOL, max_depth=48, rel=0.0):
     """Integrate fn on [a, b] to absolute tolerance tol (or relative rel).
 
     Classic recursive Simpson with Richardson correction S2 + (S2-S1)/15.

@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +29,8 @@ from .metrics import (DomainError, check_differential_inequality, q_kernel,
                       save_metric)
 from .couplings import CouplingConfig, moment_diagnostic, simulate_coupling
 from .control import hessian_ledger, lipschitz_ledger, pontryagin_residual
-from .mfg import (frozen_ergodic, solve_ergodic_mfg, solve_mfg,
-                  turnpike_report)
+from .mfg import (REPORT_RATE_FRACTION, frozen_ergodic, solve_ergodic_mfg,
+                  solve_mfg, turnpike_report)
 
 EXIT_CODES = {"config": 2, "certification": 2, "numerical": 3}
 
@@ -187,11 +186,10 @@ def cmd_coupling(sc, path, run, args):
                 master_seed=sc.mc.master_seed, n_threads=args.threads)
     stats = simulate_coupling(CouplingConfig(kind="reflection", **base),
                               diff, init, tm=tm)
-    rows = stats.as_rows()
     write_csv(run.file("coupling.csv"),
               ["t", "mean_f", "se_f", "bound_f", "p_neq", "se_p", "bound_p"],
-              [[r[k] for r in rows] for k in
-               ("t", "mean_f", "se_f", "bound_f", "p_neq", "se_p", "bound_p")])
+              [stats.t_grid, stats.mean_f, stats.se_f, stats.bound_f,
+               stats.p_neq, stats.se_p, stats.bound_p])
     run.record("contraction_reflected",
                bool(np.all(stats.mean_f <= stats.bound_f + 3 * stats.se_f)))
     run.record("coalescence_kernel",
@@ -273,7 +271,7 @@ def cmd_mfg(sc, path, run, args):
     factors = [e["contraction_factor"] for e in trace
                if "contraction_factor" in e]
     if factors and rep.lambda_star > 0:
-        eps = rep.epsilon(0.9 * rep.lambda_star)
+        eps = rep.epsilon(REPORT_RATE_FRACTION * rep.lambda_star)
         run.record("picard_contraction", min(factors) <= eps * 1.2,
                    measured=min(factors), certified=eps)
     run.plot_script(["plot 'mfg_trace.csv' using 1:2 with linespoints "
@@ -286,33 +284,16 @@ def cmd_turnpike(sc, path, run, args):
         raise DomainError(
             f"strength margin {rep.margin:.3g} < 1 leaves no certified rate; "
             f"rerun with --force to iterate anyway")
-
-    def ergodic_part():
-        return solve_ergodic_mfg(sc, force=args.force, smallness=rep)
-
-    def finite_part():
-        return solve_mfg(sc, force=args.force, smallness=rep,
-                         tol=args.tol or 1e-6)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            fut_e = pool.submit(ergodic_part)
-            fut_f = pool.submit(finite_part)
-            sol = fut_e.result()
-            flow, value, trace, _ = fut_f.result()
-    else:
-        sol = ergodic_part()
-        flow, value, trace, _ = finite_part()
+    sol = solve_ergodic_mfg(sc, force=args.force, smallness=rep)
+    flow, value, trace, _ = solve_mfg(sc, force=args.force, smallness=rep,
+                                      tol=args.tol or 1e-6)
     report = turnpike_report(sc, flow, value, sol, rep)
-    rows = report.rows()
+    d_hess = report.d_hess if report.d_hess is not None \
+        else np.full(len(report.times), np.nan)
     write_csv(run.file("turnpike.csv"),
               ["t", "d_flow", "d_value", "d_hess", "bound", "pass"],
-              [[r["t"] for r in rows], [r["d_flow"] for r in rows],
-               [r["d_value"] for r in rows],
-               [r["d_hess"] if r["d_hess"] != "" else float("nan")
-                for r in rows],
-               [r["bound"] for r in rows],
-               [int(r["pass"]) for r in rows]])
+              [report.times, report.d_flow, report.d_value, d_hess,
+               report.bound_flow, report.flow_pass.astype(int)])
     v = report.verdicts
     run.record("turnpike_flow_bound", v["flow_bound"])
     run.record("turnpike_value_bound", v["value_bound"])
@@ -376,7 +357,8 @@ def build_parser():
                        help="scenario file path or catalog name")
         s.add_argument("--out", default=os.environ.get("MFGLAB_OUT", "runs"))
         s.add_argument("--seed", type=int, default=None)
-        s.add_argument("--threads", type=int, default=1)
+        s.add_argument("--threads", type=int, default=1,
+                       help="worker threads of the coupling simulations")
         s.add_argument("--force", action="store_true",
                        help="proceed when the strength condition fails")
         s.add_argument("--tol", type=float, default=None)

@@ -151,7 +151,11 @@ class MeasureFlow:
                             self.xs, axis=1)
 
 
-def _store_plan(n_steps, max_slices=6001):
+_MAX_SLICES = 6001      # stored time slices of a solve, at most
+_LEDGER_TIMES = 9       # ledger times along a value solve
+
+
+def _store_plan(n_steps, max_slices=_MAX_SLICES):
     stride = max(1, int(np.ceil(n_steps / (max_slices - 1))))
     idx = list(range(0, n_steps + 1, stride))
     if idx[-1] != n_steps:
@@ -164,7 +168,7 @@ def _store_plan(n_steps, max_slices=6001):
 
 def solve_hjb(grid: Grid1D, T, diffusion: DiffusionSpec, drift_b: Callable,
               cost: RunningCostSpec, terminal_values, source=None,
-              max_slices=6001) -> ValueFunction:
+              max_slices=_MAX_SLICES) -> ValueFunction:
     """Backward semi-implicit solve of the value-function PDE.
 
     source(t, xs) is the frozen interaction term added to the running cost.
@@ -204,8 +208,8 @@ def solve_hjb(grid: Grid1D, T, diffusion: DiffusionSpec, drift_b: Callable,
         a = b + w
         a_max = np.abs(a).max()
         if a_max > peclet_lim:
-            raise SchemeError("explicit advection violates the CFL guard; "
-                              "reduce dt or enlarge the box")
+            raise SchemeError(f"explicit advection violates the CFL guard "
+                              f"at t={t:g}; reduce dt or enlarge the box")
         if a_max * dx > sig2_min:
             g = upwind_gradient(phi, dx, a)
             w = policy(cost, xs, g)
@@ -225,7 +229,8 @@ def solve_hjb(grid: Grid1D, T, diffusion: DiffusionSpec, drift_b: Callable,
         if not np.isfinite(phi_max):
             raise BlowUpError(f"value function blew up at t={t - dt:g}")
         if phi_max > 1e12:
-            raise BlowUpError("value function overflow guard tripped")
+            raise BlowUpError(f"value function overflow guard tripped at "
+                              f"t={t - dt:g}")
 
     return ValueFunction(times=store * dt, xs=xs, phi=phi_out, grad=grad_out)
 
@@ -237,6 +242,8 @@ def solve_hjb(grid: Grid1D, T, diffusion: DiffusionSpec, drift_b: Callable,
 # the solver's only temporaries beyond one density, so this bounds its
 # working set independently of the horizon.
 _FP_BLOCK = 64
+_RANNACHER_STEPS = 2    # fully implicit start-up steps of the density solve
+_MASS_TOL = 1e-6        # mass drift that aborts a density solve
 
 
 def _bernoulli(w):
@@ -269,9 +276,8 @@ def _cc_matrix(beta_mid, D_mid, dx):
 
 
 def solve_fokker_planck(grid: Grid1D, T, diffusion: DiffusionSpec,
-                        beta: Callable, mu0_density, theta=0.5,
-                        rannacher=2, max_slices=6001,
-                        mass_tol=1e-6) -> MeasureFlow:
+                        beta: Callable, mu0_density,
+                        theta=0.5) -> MeasureFlow:
     """Forward conservative solve of the marginal-flow PDE.
 
     beta(t, xs) is the full drift of the controlled state at the cell
@@ -279,7 +285,7 @@ def solve_fokker_planck(grid: Grid1D, T, diffusion: DiffusionSpec,
     step times, shape (B, 1), and must return an array that broadcasts to
     (B, len(xs)); a drift that does not depend on time may return shape
     (len(xs),).  Mass is conserved by construction up to solver roundoff;
-    a drift beyond mass_tol aborts the run.
+    a drift beyond _MASS_TOL aborts the run.
     """
     xs = grid.xs
     dx = grid.dx
@@ -297,7 +303,7 @@ def solve_fokker_planck(grid: Grid1D, T, diffusion: DiffusionSpec,
     mass0 = float(np.sum(m) * dx)
     m /= mass0
 
-    store = _store_plan(n_steps, max_slices)
+    store = _store_plan(n_steps)
     store_set = {int(k): j for j, k in enumerate(store)}
     out = np.empty((len(store), len(xs)))
     if 0 in store_set:
@@ -310,8 +316,8 @@ def solve_fokker_planck(grid: Grid1D, T, diffusion: DiffusionSpec,
         beta_mid = np.broadcast_to(beta_mid, (len(ks), len(x_mid)))
         sub, diag, sup = _cc_matrix(beta_mid, D_mid, dx)
         # theta stepping: (I - th dt A) m_{k+1} = (I + (1 - th) dt A) m_k,
-        # fully implicit for the first `rannacher` steps
-        th = np.where(ks < rannacher, 1.0, theta)[:, None]
+        # fully implicit for the first _RANNACHER_STEPS steps
+        th = np.where(ks < _RANNACHER_STEPS, 1.0, theta)[:, None]
         ex, im = (1.0 - th) * dt, th * dt
         explicit = zip(ex * sub, 1.0 + ex * diag, ex * sup)
         implicit = zip(-im * sub, 1.0 - im * diag, -im * sup)
@@ -328,9 +334,9 @@ def solve_fokker_planck(grid: Grid1D, T, diffusion: DiffusionSpec,
                 np.maximum(m, 0.0, out=m)
                 total = m.sum()
             mass = float(total * dx)
-            if abs(mass - 1.0) > mass_tol:
+            if abs(mass - 1.0) > _MASS_TOL:
                 raise SchemeError(f"mass drift {mass - 1.0:.2e} exceeds "
-                                  f"{mass_tol:g}")
+                                  f"{_MASS_TOL:g}")
             if (k + 1) in store_set:
                 out[store_set[k + 1]] = m
     return MeasureFlow(times=store * dt, xs=xs, densities=out)
@@ -363,7 +369,7 @@ def stationary_density_cc(grid: Grid1D, diffusion: DiffusionSpec, beta_fn):
 
 
 def optimal_flow(value: ValueFunction, scenario: Scenario,
-                 mu0_density, max_slices=6001) -> MeasureFlow:
+                 mu0_density) -> MeasureFlow:
     """Forward flow of the state controlled by the solved value function."""
     b = scenario.drift.b
     cost = scenario.running_cost
@@ -381,7 +387,7 @@ def optimal_flow(value: ValueFunction, scenario: Scenario,
 
     T = float(value.times[-1])
     return solve_fokker_planck(scenario.grid, T, scenario.diffusion, beta,
-                               mu0_density, max_slices=max_slices)
+                               mu0_density)
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +420,9 @@ class BoundLedger:
                    if isinstance(v, (int, float, str, bool))}}
 
 
-def _ledger_times(value: ValueFunction, n=9):
-    idx = np.unique(np.linspace(0, len(value.times) - 1, n).astype(int))
+def _ledger_times(value: ValueFunction):
+    idx = np.unique(np.linspace(0, len(value.times) - 1,
+                                _LEDGER_TIMES).astype(int))
     return value.times[idx], idx
 
 
@@ -457,7 +464,7 @@ def theoretical_value_fnorm(t, T, tm_b: TwistedMetric, C_x_ell, g_fnorm,
 
 
 def lipschitz_ledger(value: ValueFunction, scenario: Scenario,
-                     tm_b: TwistedMetric, n_times=9) -> BoundLedger:
+                     tm_b: TwistedMetric) -> BoundLedger:
     """Value-seminorm and control-magnitude bounds against measurements."""
     cost, inter, term = (scenario.running_cost, scenario.interaction,
                          scenario.terminal_cost)
@@ -470,7 +477,7 @@ def lipschitz_ledger(value: ValueFunction, scenario: Scenario,
     g_fnorm = value_fnorm(value, -1, tm_b.f)
     g_sup = float(np.max(np.abs(g_vals))) if term.C_G is not None else None
 
-    times, idx = _ledger_times(value, n_times)
+    times, idx = _ledger_times(value)
     measured = np.array([value_fnorm(value, i, tm_b.f) for i in idx])
     theo = np.array([theoretical_value_fnorm(t, T, tm_b, C_x_ell, g_fnorm,
                                              g_sup, C_osc) for t in times])
@@ -489,7 +496,7 @@ def lipschitz_ledger(value: ValueFunction, scenario: Scenario,
 
 
 def hessian_ledger(value: ValueFunction, scenario: Scenario,
-                   tm_b: TwistedMetric, n_times=9) -> BoundLedger:
+                   tm_b: TwistedMetric) -> BoundLedger:
     """Second-derivative bounds along the solve (constant diffusion only)."""
     from .metrics import q_kernel, q_weighted_integral
     from .profiles import shift_profile
@@ -497,7 +504,7 @@ def hessian_ledger(value: ValueFunction, scenario: Scenario,
     cost, inter, term, drift = (scenario.running_cost, scenario.interaction,
                                 scenario.terminal_cost, scenario.drift)
     T = float(value.times[-1])
-    times, idx = _ledger_times(value, n_times)
+    times, idx = _ledger_times(value)
     interior = slice(2, -2)
     measured = np.array([float(np.max(np.abs(value.hess(i)[interior])))
                          for i in idx])
@@ -569,8 +576,7 @@ def hessian_ledger(value: ValueFunction, scenario: Scenario,
 def stability_ledger(value: ValueFunction, value_hat: ValueFunction,
                      scenario: Scenario, tm_tilde: TwistedMetric,
                      deltas: dict, flow: Optional[MeasureFlow] = None,
-                     flow_hat: Optional[MeasureFlow] = None,
-                     n_times=9) -> BoundLedger:
+                     flow_hat: Optional[MeasureFlow] = None) -> BoundLedger:
     """Bounds on the gap between two solved problems sharing the diffusion.
 
     deltas carries the declared perturbation constants: C_x_delta_l and
@@ -581,7 +587,7 @@ def stability_ledger(value: ValueFunction, value_hat: ValueFunction,
     cost = scenario.running_cost
     lam, C = tm_tilde.lam, tm_tilde.C
     T = float(value.times[-1])
-    times, idx = _ledger_times(value, n_times)
+    times, idx = _ledger_times(value)
 
     mode = "A13" if "C_x_delta_l" in deltas else "A14"
     g_gap = f_norm(value.xs, value.phi[-1] - value_hat.phi[-1], tm_tilde.f)
@@ -666,8 +672,7 @@ def stability_ledger(value: ValueFunction, value_hat: ValueFunction,
 # discrete costate residual along the optimal flow
 
 def pontryagin_residual(value: ValueFunction, scenario: Scenario,
-                        n_paths=2000, deltas=(0.02, 0.01), seed=77,
-                        source_grad=None):
+                        n_paths=2000, deltas=(0.02, 0.01), seed=77):
     """Mean-square residual of the discrete costate recursion per step size.
 
     Simulates the optimally controlled state, reads the costate and its
@@ -686,10 +691,7 @@ def pontryagin_residual(value: ValueFunction, scenario: Scenario,
         return (drift.b(x + eps) - drift.b(x - eps)) / (2.0 * eps)
 
     def dldx(x, u):
-        base = (cost.L(x + eps, u) - cost.L(x - eps, u)) / (2.0 * eps)
-        if source_grad is not None:
-            base = base + source_grad(x)
-        return base
+        return (cost.L(x + eps, u) - cost.L(x - eps, u)) / (2.0 * eps)
 
     def dsdx(x):
         return (diff.sigma_at(x + eps) - diff.sigma_at(x - eps)) / (2.0 * eps)
@@ -730,13 +732,16 @@ def pontryagin_residual(value: ValueFunction, scenario: Scenario,
 # ---------------------------------------------------------------------------
 # domain truncation audit
 
-def box_doubling_check(scenario: Scenario, terminal_fn, inner_tol=1e-4):
+_BOX_INNER_TOL = 1e-4   # inner-half value gap a wide-enough box keeps
+
+
+def box_doubling_check(scenario: Scenario, terminal_fn):
     """Re-solve on a doubled box and compare on the inner half.
 
     The truncation boundary is artificial; the certified statement lives on
     the whole line, so the box must be demonstrably wide enough.  Returns
     the sup difference of the two value solves on the original inner half
-    and whether it stays below inner_tol.
+    and whether it stays below _BOX_INNER_TOL.
     """
     g1 = scenario.grid
     xs1 = g1.xs
@@ -757,4 +762,4 @@ def box_doubling_check(scenario: Scenario, terminal_fn, inner_tol=1e-4):
         # data, gradients are what the bounds consume
         diff = v1.phi[i][inner] - interp
         worst = max(worst, float(np.max(np.abs(diff - np.mean(diff)))))
-    return {"sup_inner_diff": worst, "pass": bool(worst <= inner_tol)}
+    return {"sup_inner_diff": worst, "pass": bool(worst <= _BOX_INNER_TOL)}

@@ -11,14 +11,14 @@ step (gluing late, never early, so measured contraction is only weakened).
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .distances import w1_samples
 from .errors import MfglabError
-from .metrics import DomainError, q_kernel_arr
+from .metrics import DomainError, q_kernel
 
 
 class CouplingError(MfglabError, ValueError):
@@ -28,6 +28,9 @@ class CouplingError(MfglabError, ValueError):
 KINDS = ("synchronous", "reflection", "controlled_reflection", "interpolated",
          "approx_delta")
 _GLUE_KINDS = ("reflection", "controlled_reflection", "interpolated")
+_CHUNK_SIZE = 16384       # paths per chunk, each with its own RNG stream
+_OVERFLOW_GUARD = 1e7     # |x| beyond which a path run aborts
+_MOMENT_TIMES = 41        # output times of the moment diagnostic
 
 
 @dataclass(frozen=True)
@@ -43,9 +46,8 @@ class CouplingConfig:
     delta: float = 1e-2
     master_seed: int = 20240901
     bridge_gluing: bool = True
-    chunk_size: int = 16384
+    chunk_size: int = _CHUNK_SIZE
     n_threads: int = 1
-    overflow_guard: float = 1e7
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -91,17 +93,6 @@ class CouplingStats:
     bound_f2: Optional[np.ndarray] = None
     mean_r: Optional[np.ndarray] = None
     n_paths: int = 0
-
-    def as_rows(self):
-        rows = []
-        for i, t in enumerate(self.t_grid):
-            rows.append({"t": float(t), "mean_f": float(self.mean_f[i]),
-                         "se_f": float(self.se_f[i]),
-                         "bound_f": float(self.bound_f[i]),
-                         "p_neq": float(self.p_neq[i]),
-                         "se_p": float(self.se_p[i]),
-                         "bound_p": float(self.bound_p[i])})
-        return rows
 
 
 def _smoothstep(u):
@@ -240,7 +231,7 @@ def _simulate_chunk(config, diffusion, init_sampler, chunk_index, n_chunk,
         else:
             d = d + drift_d * dt + nd * sqdt
 
-        if np.max(np.abs(x)) > config.overflow_guard:
+        if np.max(np.abs(x)) > _OVERFLOW_GUARD:
             raise CouplingError("path overflow: reduce dt or check the drift")
 
         s = k + 1
@@ -319,8 +310,8 @@ def simulate_coupling(config: CouplingConfig, diffusion, init_sampler,
         mean_f0=mean_f0,
         bound_f=(np.exp(-tm.lam * t_arr) * mean_f0 if tm is not None
                  else np.full_like(t_arr, np.inf)),
-        bound_p=(q_kernel_arr(tm.C, tm.lam, tm.sigma_check,
-                              np.maximum(t_arr, 1e-300)) * mean_f0
+        bound_p=(q_kernel(tm.C, tm.lam, tm.sigma_check,
+                          np.maximum(t_arr, 1e-300)) * mean_f0
                  if tm is not None else np.full_like(t_arr, np.inf)),
         mean_r=sums[:, 5] / n, n_paths=n)
     if f2_eval is not None:
@@ -368,18 +359,11 @@ def check_drift_gap_bounds(config: CouplingConfig, diffusion, init_sampler,
         t_end = float(t_arr[-1])
         if t_end <= t0:
             raise DomainError("coalescence bound needs t > t0")
-        cfg0 = CouplingConfig(kind="approx_delta", dt=config.dt,
-                              n_paths=config.n_paths, t_grid=(max(t0, config.dt),),
-                              beta=config.beta, beta_hat=config.beta_hat,
-                              delta=config.delta,
-                              master_seed=config.master_seed,
-                              chunk_size=config.chunk_size,
-                              n_threads=config.n_threads)
+        cfg0 = replace(config, t_grid=(max(t0, config.dt),))
         st0 = simulate_coupling(cfg0, diffusion, init_sampler, tm=tm)
         ss = np.linspace(t0, t_end, 257)
         girsanov = np.sqrt(np.trapezoid(np.array([gap(s) ** 2 for s in ss]),
                                         ss) / 2.0)
-        from .metrics import q_kernel
         bound_tv = q_kernel(tm.C, tm.lam, tm.sigma_check, t_end - t0) \
             * float(st0.mean_f[0]) + girsanov
         report["bound_tv"] = bound_tv
@@ -393,8 +377,7 @@ def check_drift_gap_bounds(config: CouplingConfig, diffusion, init_sampler,
 # moment plateau diagnostic
 
 def moment_diagnostic(beta, diffusion, init_sampler, p, T, dt=1e-3,
-                      n_paths=20_000, master_seed=7, n_out=41,
-                      chunk_size=16384):
+                      n_paths=20_000, master_seed=7):
     """sup_t of the p-th absolute moment plus a no-growth plateau test.
 
     Growth over the last half of the horizon is tested with a paired
@@ -405,8 +388,9 @@ def moment_diagnostic(beta, diffusion, init_sampler, p, T, dt=1e-3,
     n_steps = int(round(T / dt))
     half_step = n_steps // 2
     out_steps = np.unique(np.concatenate(
-        [np.linspace(0, n_steps, n_out).astype(int), [half_step, n_steps]]))
-    ranges = _chunk_ranges(n_paths, chunk_size)
+        [np.linspace(0, n_steps, _MOMENT_TIMES).astype(int),
+         [half_step, n_steps]]))
+    ranges = _chunk_ranges(n_paths, _CHUNK_SIZE)
     totals = np.zeros(len(out_steps))
     d_sum, d_sq = 0.0, 0.0
     for ci, (lo, hi) in enumerate(ranges):

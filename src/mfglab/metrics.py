@@ -31,11 +31,12 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.interpolate import PchipInterpolator
 
-from ._quad import adaptive_simpson, bisect_root, BracketError
+from ._quad import QUAD_TOL, adaptive_simpson, bisect_root, BracketError
 from .errors import MfglabError
 from .profiles import MonotonicityProfile
 
 _LOG_DEGENERATE = -600.0  # below this log(phi) the rate constants underflow
+_TABLE_NODES = 1200       # coarse radius nodes of a metric table
 
 
 class MetricError(MfglabError, ValueError):
@@ -123,7 +124,7 @@ class TwistedMetric:
         return q_kernel(self.C, self.lam, self.sigma_check, t)
 
 
-def _table_nodes(profile, R0, R1, n_table):
+def _table_nodes(profile, R0, R1):
     """Dense radius grid: geometric + linear blend, refined at R0 and R1.
 
     Each coarse interval is split into 8 subintervals so that composite
@@ -131,8 +132,9 @@ def _table_nodes(profile, R0, R1, n_table):
     """
     r_max = profile.r_max
     lo = max(profile.r_min * 1e-3, 1e-12 * r_max)
-    pieces = [np.array([0.0, r_max]), np.geomspace(lo, r_max, n_table // 4),
-              np.linspace(0.0, r_max, n_table // 4)]
+    pieces = [np.array([0.0, r_max]),
+              np.geomspace(lo, r_max, _TABLE_NODES // 4),
+              np.linspace(0.0, r_max, _TABLE_NODES // 4)]
     for knot in (R0, R1):
         if 0.0 < knot < r_max:
             pieces.append(np.linspace(max(knot - 0.05, 0.0),
@@ -151,8 +153,8 @@ def _cumsimp(y, x):
     return cumulative_simpson(y, x=x, initial=0.0)
 
 
-def build_twisted_metric(profile: MonotonicityProfile, sigma_check,
-                         quad_tol=1e-10, n_table=1200) -> TwistedMetric:
+def build_twisted_metric(profile: MonotonicityProfile,
+                         sigma_check) -> TwistedMetric:
     """Construct the twisted metric of a certified class-K profile."""
     cert = profile.certification
     if cert is not None and not cert.is_K:
@@ -170,7 +172,7 @@ def build_twisted_metric(profile: MonotonicityProfile, sigma_check,
         raise MetricError(
             f"radius grid too small: R1 not bracketed below r_max={r_max:g}") from exc
 
-    nodes = _table_nodes(profile, R0, R1, n_table)
+    nodes = _table_nodes(profile, R0, R1)
     neg = np.maximum(nodes, 1e-300) * profile.negative_part_at(nodes)
     I_nodes = _cumsimp(neg, nodes)
     I_interp = PchipInterpolator(nodes, I_nodes, extrapolate=True)
@@ -180,7 +182,7 @@ def build_twisted_metric(profile: MonotonicityProfile, sigma_check,
         return TwistedMetric(profile=profile, sigma_check=sigma_check,
                              R0=R0, R1=R1, Z=np.inf, lam=0.0, C=0.0,
                              r_table=nodes, f_table=zeros, fprime_table=zeros,
-                             quad_tol=quad_tol, degenerate=True,
+                             quad_tol=QUAD_TOL, degenerate=True,
                              _I=I_interp, _Phi=None)
 
     phi_nodes = np.exp(-I_nodes / sig2)
@@ -196,7 +198,7 @@ def build_twisted_metric(profile: MonotonicityProfile, sigma_check,
     # audit pass: adaptive Simpson on the interpolated ratio must agree
     ratio_interp = PchipInterpolator(nodes[head], ratio_head, extrapolate=True)
     Z_audit = adaptive_simpson(lambda s: float(ratio_interp(s)), 0.0, R1,
-                               tol=max(quad_tol, 1e-12) * max(1.0, Z))
+                               tol=QUAD_TOL * max(1.0, Z))
     if abs(Z_audit - Z) > 1e-6 * max(1.0, Z):
         raise MetricError(f"quadrature disagreement on Z: {Z:g} vs {Z_audit:g}")
 
@@ -211,7 +213,7 @@ def build_twisted_metric(profile: MonotonicityProfile, sigma_check,
     tm = TwistedMetric(profile=profile, sigma_check=sigma_check,
                        R0=R0, R1=R1, Z=Z, lam=lam, C=C,
                        r_table=nodes, f_table=f_nodes, fprime_table=fp_nodes,
-                       quad_tol=quad_tol, _I=I_interp, _Phi=Phi_interp,
+                       quad_tol=QUAD_TOL, _I=I_interp, _Phi=Phi_interp,
                        _fi=PchipInterpolator(nodes, f_nodes),
                        _fpi=PchipInterpolator(nodes, fp_nodes))
     _check_invariants(tm)
@@ -253,38 +255,28 @@ def q_kernel(C, lam, sigma_check, t):
     """Time-decaying kernel converting f-distance into coalescence bounds.
 
     Short times decay like t^(-1/2); after 1/(2 lam) the exponential branch
-    takes over, the two branches matching continuously.
+    takes over, the two branches matching continuously.  t may be a scalar
+    (a float is returned) or an array.
     """
-    t = float(t)
-    if t <= 0.0:
+    tt = np.asarray(t, dtype=float)
+    if np.any(tt <= 0.0):
         raise DomainError("q kernel needs t > 0")
     denom = C * sigma_check
     if denom <= 0.0:
-        return np.inf
-    if lam > 0.0 and t >= 1.0 / (2.0 * lam):
-        return np.sqrt(lam * np.e) / (np.sqrt(np.pi) * denom) * np.exp(-lam * t)
-    return 1.0 / (np.sqrt(2.0 * np.pi * t) * denom)
-
-
-def q_kernel_arr(C, lam, sigma_check, t):
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise DomainError("q kernel needs t > 0")
-    denom = C * sigma_check
-    if denom <= 0.0:
-        return np.full_like(t, np.inf)
-    early = 1.0 / (np.sqrt(2.0 * np.pi * t) * denom)
-    if lam <= 0.0:
-        return early
-    late = np.sqrt(lam * np.e) / (np.sqrt(np.pi) * denom) * np.exp(-lam * t)
-    return np.where(t >= 1.0 / (2.0 * lam), late, early)
+        out = np.full_like(tt, np.inf)
+    else:
+        out = 1.0 / (np.sqrt(2.0 * np.pi * tt) * denom)
+        if lam > 0.0:
+            late = np.sqrt(lam * np.e) / (np.sqrt(np.pi) * denom) \
+                * np.exp(-lam * tt)
+            out = np.where(tt >= 1.0 / (2.0 * lam), late, out)
+    return out if np.ndim(t) else float(out)
 
 
 # ---------------------------------------------------------------------------
 # exponentially weighted integrals of the kernel
 
-def lemma_kernel_integrals(C, lam_bar, sigma0, lam, t, T, mode="forward",
-                           quad_tol=1e-10):
+def lemma_kernel_integrals(C, lam_bar, sigma0, lam, t, T, mode="forward"):
     """Quadrature and closed-form bound for the weighted kernel integrals.
 
     forward:  integral over [t, T] of exp(-lam s)     q_{s-t} ds
@@ -309,11 +301,11 @@ def lemma_kernel_integrals(C, lam_bar, sigma0, lam, t, T, mode="forward",
                 else np.exp(-lam * (T - t - u))
 
         def scaled_quad(fn, a, b):
-            # pre-scale the absolute budget so integrals far below quad_tol
+            # pre-scale the absolute budget so integrals far below QUAD_TOL
             # (deep exponential tails) are still resolved relatively
             xs = np.linspace(a, b, 257)
             scale = abs(simpson([fn(x) for x in xs], x=xs))
-            tol = max(quad_tol * max(scale, 1e-30), 1e-280)
+            tol = max(QUAD_TOL * max(scale, 1e-30), 1e-280)
             return adaptive_simpson(fn, a, b, tol, rel=1e-9)
 
         v_hi = np.sqrt(min(span, t_knee))
@@ -349,7 +341,7 @@ def q_integral(C, lam, sigma0, tau):
     return head + amp * (np.exp(-lam * knee) - np.exp(-lam * tau)) / lam
 
 
-def q_weighted_integral(C, lam_bar, sigma0, t, T, weight, quad_tol=1e-10):
+def q_weighted_integral(C, lam_bar, sigma0, t, T, weight):
     """Quadrature of the integral over [t, T] of q_{s-t} * weight(s) ds.
 
     The square-root singularity at s = t is removed by substitution; weight
@@ -364,12 +356,12 @@ def q_weighted_integral(C, lam_bar, sigma0, t, T, weight, quad_tol=1e-10):
     pref = 1.0 / (np.sqrt(2.0 * np.pi) * C * sigma0)
     v_hi = np.sqrt(min(span, knee))
     total = adaptive_simpson(lambda v: 2.0 * pref * weight(t + v * v),
-                             0.0, v_hi, quad_tol, rel=1e-8)
+                             0.0, v_hi, QUAD_TOL, rel=1e-8)
     if span > knee:
         amp = np.sqrt(lam_bar * np.e) / (np.sqrt(np.pi) * C * sigma0)
         total += adaptive_simpson(
             lambda u: amp * np.exp(-lam_bar * u) * weight(t + u),
-            knee, span, quad_tol, rel=1e-8)
+            knee, span, QUAD_TOL, rel=1e-8)
     return total
 
 

@@ -1,7 +1,7 @@
 """Mean-field layer: frozen iterations, finite-horizon and ergodic fixed
 points, and exponential turnpike verification.
 
-The finite-horizon equilibrium is a damped Picard iteration on measure
+The finite-horizon equilibrium is a Picard iteration on measure
 flows; each sweep solves the frozen backward equation with the interaction
 evaluated along the current flow and pushes the initial law through the
 resulting optimal drift.  The ergodic triple comes from a horizon-one
@@ -21,9 +21,18 @@ from .control import (MeasureFlow, ValueFunction, gradient_second_order,
                       stationary_density_cc)
 from .distances import f_norm, tv_grid, w1_grid, wf_grid
 from .errors import MfglabError
-from .metrics import DomainError, MetricError, q_kernel
+from .metrics import DomainError, q_kernel
 from .model import (GridDensity, Scenario, SmallnessReport, check_smallness,
                     policy)
+
+# the turnpike report rate, and the Picard contraction read at it, as a
+# fraction of the certified rate lambda_star
+REPORT_RATE_FRACTION = 0.9
+_SOURCE_SLICES = 401        # time slices tabulating an interaction source
+_CONTRACTION_SLICES = 17    # flow slices of the Picard contraction LPs
+_MAP_HORIZON = 1.0          # horizon of the normalized ergodic map
+_MAX_OUTER = 60             # ergodic outer sweeps
+_REPORT_TIMES = 81          # report times along the finite-horizon flow
 
 
 class FixedPointError(MfglabError, RuntimeError):
@@ -60,13 +69,12 @@ class ErgodicSolution:
 # ---------------------------------------------------------------------------
 # frozen problems
 
-def _interaction_source(scenario: Scenario, flow: Optional[MeasureFlow],
-                        n_slices=401):
+def _interaction_source(scenario: Scenario, flow: Optional[MeasureFlow]):
     """Interaction term along a flow, precomputed on a time grid.
 
     Evaluating a convolution interaction is quadratic in the grid size, so
     doing it fresh at every solver step dominates the runtime; the flow is
-    smooth in time, so the term is tabulated on ~n_slices slices and
+    smooth in time, so the term is tabulated on ~_SOURCE_SLICES slices and
     linearly interpolated inside the stepping loops.  The solver evaluates
     the term on the scenario grid only.
     """
@@ -74,8 +82,8 @@ def _interaction_source(scenario: Scenario, flow: Optional[MeasureFlow],
     if inter.kind == "none" or flow is None:
         return None
     xs = scenario.grid.xs
-    idx = np.unique(np.linspace(0, len(flow.times) - 1,
-                                min(n_slices, len(flow.times))).astype(int))
+    n = min(_SOURCE_SLICES, len(flow.times))
+    idx = np.unique(np.linspace(0, len(flow.times) - 1, n).astype(int))
     ts = flow.times[idx]
     table = np.stack([inter.value(GridDensity(flow.xs, flow.densities[i]),
                                   xs) for i in idx])
@@ -109,21 +117,16 @@ def frozen_solve(scenario: Scenario, flow: Optional[MeasureFlow],
 # ---------------------------------------------------------------------------
 # finite-horizon equilibrium
 
-def _flow_metric_times(flow: MeasureFlow, n=17):
-    idx = np.unique(np.linspace(0, len(flow.times) - 1, n).astype(int))
-    return idx
-
-
-def solve_mfg(scenario: Scenario, tol=1e-5, max_iters=30, theta=1.0,
-              force=False, mu0_density=None, terminal_values=None,
+def solve_mfg(scenario: Scenario, tol=1e-5, max_iters=30, force=False,
+              mu0_density=None, terminal_values=None,
               smallness: Optional[SmallnessReport] = None,
               track_contraction=True):
-    """Damped Picard iteration on measure flows for the coupled system.
+    """Picard iteration on measure flows for the coupled system.
 
     Returns (flow, value, trace, smallness).  The trace records the sup-W1
     change per sweep and, when track_contraction is set, the contraction
     factor measured in the backward-weighted twisted metric at the report
-    rate 0.9 lambda_star.
+    rate REPORT_RATE_FRACTION * lambda_star.
     """
     if smallness is None:
         smallness = check_smallness(scenario)
@@ -138,9 +141,11 @@ def solve_mfg(scenario: Scenario, tol=1e-5, max_iters=30, theta=1.0,
 
     flow = solve_fokker_planck(grid, scenario.T, scenario.diffusion,
                                lambda t, x: scenario.drift.b(x), mu0_density)
-    lam_w = 0.9 * smallness.lambda_star if smallness.lambda_star > 0 else 0.0
+    lam_w = REPORT_RATE_FRACTION * smallness.lambda_star \
+        if smallness.lambda_star > 0 else 0.0
     tm_bar = smallness.tm_bar
-    idx = _flow_metric_times(flow)
+    idx = np.unique(np.linspace(0, len(flow.times) - 1,
+                                _CONTRACTION_SLICES).astype(int))
     trace = []
     prev_back = None
     for it in range(1, max_iters + 1):
@@ -153,10 +158,6 @@ def solve_mfg(scenario: Scenario, tol=1e-5, max_iters=30, theta=1.0,
         # its own: two value tables alive at once set the peak memory
         value = None
         value, new_flow = frozen_solve(scenario, flow, g, mu0_density)
-        if theta != 1.0:
-            blended = (1.0 - theta) * flow.densities + theta * new_flow.densities
-            new_flow = MeasureFlow(times=new_flow.times, xs=xs,
-                                   densities=blended)
         change = float(np.max(w1_grid(xs, new_flow.densities,
                                       flow.densities, check=False)))
         entry = {"iter": it, "sup_w1_change": change}
@@ -181,24 +182,19 @@ def solve_mfg(scenario: Scenario, tol=1e-5, max_iters=30, theta=1.0,
 # ---------------------------------------------------------------------------
 # ergodic problems
 
-def frozen_ergodic(scenario: Scenario, mu_frozen=None, map_horizon=1.0,
-                   tol=1e-9, max_iters=400, map_dt=None, tm_bar="auto",
-                   g0=None):
+def frozen_ergodic(scenario: Scenario, mu_frozen=None, tol=1e-9,
+                   max_iters=400, tm_bar=None, g0=None):
     """Normalized horizon-map iteration for the frozen ergodic triple.
 
     mu_frozen is a density on the scenario grid (or None for no
-    interaction).  The map solves the frozen problem over map_horizon,
+    interaction).  The map solves the frozen problem over _MAP_HORIZON,
     recenters at x = 0, and iterates to its fixed point; the ergodic level
     is read off the residual constant, whose spatial flatness certifies the
     grid resolution.  tm_bar supplies the twisted metric measuring the
-    iterate gaps ("auto" derives it from the smallness report, None falls
-    back to the plain Lipschitz seminorm).
+    iterate gaps (None falls back to the plain Lipschitz seminorm).
     """
     grid = scenario.grid
     xs = grid.xs
-    if map_dt is not None and map_dt != grid.dt:
-        from .model import Grid1D
-        grid = Grid1D(grid.x_min, grid.x_max, grid.n_x, map_dt)
     i0 = int(np.argmin(np.abs(xs)))
     inter = scenario.interaction
     if inter.kind != "none" and mu_frozen is not None:
@@ -208,21 +204,13 @@ def frozen_ergodic(scenario: Scenario, mu_frozen=None, map_horizon=1.0,
     else:
         source = None
 
-    if tm_bar == "auto":
-        tm_bar = None
-        try:
-            rep = check_smallness(scenario)
-            if not rep.tm_bar.degenerate and rep.kappa_bar.certification.is_K:
-                tm_bar = rep.tm_bar
-        except MetricError:
-            pass
     f_eval = tm_bar.f if tm_bar is not None else (lambda r: r)
 
     g = np.zeros_like(xs) if g0 is None else np.asarray(g0, dtype=float)
     diffs = []
     value = None
     for it in range(1, max_iters + 1):
-        value = solve_hjb(grid, map_horizon, scenario.diffusion,
+        value = solve_hjb(grid, _MAP_HORIZON, scenario.diffusion,
                           scenario.drift.b, scenario.running_cost, g,
                           source=source, max_slices=3)
         g_new = value.phi[0] - value.phi[0][i0]
@@ -236,7 +224,7 @@ def frozen_ergodic(scenario: Scenario, mu_frozen=None, map_horizon=1.0,
             f"(last change {diffs[-1]:.3e})")
 
     # one more sweep reads the per-horizon level off the fixed point
-    value = solve_hjb(grid, map_horizon, scenario.diffusion, scenario.drift.b,
+    value = solve_hjb(grid, _MAP_HORIZON, scenario.diffusion, scenario.drift.b,
                       scenario.running_cost, g, source=source, max_slices=3)
     level = value.phi[0] - g
     flatness = float(np.max(level) - np.min(level))
@@ -244,7 +232,7 @@ def frozen_ergodic(scenario: Scenario, mu_frozen=None, map_horizon=1.0,
         raise FixedPointError(
             f"ergodic level is not flat (residual {flatness:.3e}); refine "
             f"the grid or loosen the tolerance")
-    eta = -float(np.mean(level)) / map_horizon
+    eta = -float(np.mean(level)) / _MAP_HORIZON
     grad = gradient_second_order(g, grid.dx)
 
     def beta_inf(x):
@@ -261,9 +249,9 @@ def frozen_ergodic(scenario: Scenario, mu_frozen=None, map_horizon=1.0,
                            fnorm_phi=f_norm(xs, g, f_eval))
 
 
-def solve_ergodic_mfg(scenario: Scenario, tol=1e-7, max_outer=60,
-                      force=False, smallness: Optional[SmallnessReport] = None,
-                      map_dt=None, inner_tol=1e-10, mu_init=None):
+def solve_ergodic_mfg(scenario: Scenario, tol=1e-7, force=False,
+                      smallness: Optional[SmallnessReport] = None,
+                      inner_tol=1e-10, mu_init=None):
     """Outer fixed point over frozen measures for the ergodic system."""
     if smallness is None:
         smallness = check_smallness(scenario)
@@ -282,12 +270,12 @@ def solve_ergodic_mfg(scenario: Scenario, tol=1e-7, max_outer=60,
     tm_arg = None if smallness.tm_bar.degenerate else smallness.tm_bar
     g_warm = None
     change = None
-    for it in range(1, max_outer + 1):
+    for it in range(1, _MAX_OUTER + 1):
         # inexact inner solves: early sweeps only need the outer resolution
         tol_k = inner_tol if change is None \
             else max(inner_tol, min(1e-8, 1e-2 * change))
-        sol = frozen_ergodic(scenario, mu, tol=tol_k, map_dt=map_dt,
-                             tm_bar=tm_arg, g0=g_warm)
+        sol = frozen_ergodic(scenario, mu, tol=tol_k, tm_bar=tm_arg,
+                             g0=g_warm)
         g_warm = sol.phi_inf
         change = tv_grid(xs, sol.mu_inf, mu, check=False) if low \
             else w1_grid(xs, sol.mu_inf, mu, check=False)
@@ -301,7 +289,7 @@ def solve_ergodic_mfg(scenario: Scenario, tol=1e-7, max_outer=60,
         prev_change = change
     else:
         raise FixedPointError(f"ergodic outer loop did not converge "
-                              f"in {max_outer} sweeps", trace)
+                              f"in {_MAX_OUTER} sweeps", trace)
     sol.outer_trace = trace
     sol.fnorm_phi = f_norm(xs, sol.phi_inf, smallness.tm_b.f)
     cap = (4.0 if low else 1.0) * smallness.C_x_psi
@@ -347,7 +335,7 @@ class TurnpikeConstants:
 
 
 def turnpike_constants(scenario: Scenario, rc: SmallnessReport,
-                       g_values, phi_inf, lam_fraction=0.9) -> TurnpikeConstants:
+                       g_values, phi_inf) -> TurnpikeConstants:
     """Evaluate the explicit envelope constants for the scenario's regime."""
     from .model import _build_extending
     from .profiles import shift_profile
@@ -360,7 +348,7 @@ def turnpike_constants(scenario: Scenario, rc: SmallnessReport,
     if rc.lambda_star <= 0.0:
         raise DomainError("no certified rate: epsilon(lam) >= 1 everywhere")
     lam = 0.5 * tm_bar.lam if regime == "low" \
-        else lam_fraction * rc.lambda_star
+        else REPORT_RATE_FRACTION * rc.lambda_star
     eps = rc.epsilon(lam)
     if eps >= 1.0:
         raise DomainError(f"epsilon({lam:g}) = {eps:g} >= 1")
@@ -481,27 +469,13 @@ class TurnpikeReport:
     bound_flow: np.ndarray
     bound_value: np.ndarray
     window: np.ndarray
+    flow_pass: np.ndarray      # per time: outside the window or in the bound
     d_hess: Optional[np.ndarray]
     W0: float
     constants: TurnpikeConstants
     lam_in: float
     lam_out: float
     verdicts: dict
-
-    def rows(self):
-        out = []
-        for i, t in enumerate(self.times):
-            out.append({"t": float(t), "d_flow": float(self.d_flow[i]),
-                        "d_value": float(self.d_value[i]),
-                        "d_hess": (float(self.d_hess[i])
-                                   if self.d_hess is not None else ""),
-                        "bound": float(self.bound_flow[i]),
-                        "bound_value": float(self.bound_value[i]),
-                        "pass": bool(not self.window[i]
-                                     or self.d_flow[i]
-                                     <= self.bound_flow[i] * (1 + 1e-9)
-                                     + 1e-12)})
-        return out
 
 
 def _fit_rate(times, values, floor):
@@ -519,17 +493,15 @@ def _fit_rate(times, values, floor):
 
 def turnpike_report(scenario: Scenario, flow: MeasureFlow,
                     value: ValueFunction, ergodic: ErgodicSolution,
-                    rc: SmallnessReport,
-                    constants: Optional[TurnpikeConstants] = None,
-                    n_times=81) -> TurnpikeReport:
+                    rc: SmallnessReport) -> TurnpikeReport:
     """Measured distances to the ergodic triple against the certified bound."""
-    if constants is None:
-        constants = turnpike_constants(scenario, rc, value.phi[-1],
-                                       ergodic.phi_inf)
+    constants = turnpike_constants(scenario, rc, value.phi[-1],
+                                   ergodic.phi_inf)
     xs = scenario.grid.xs
     T = scenario.T
     low = scenario.regime == "low"
-    idx = np.unique(np.linspace(0, len(flow.times) - 1, n_times).astype(int))
+    idx = np.unique(np.linspace(0, len(flow.times) - 1,
+                                _REPORT_TIMES).astype(int))
     times = flow.times[idx]
     tm_bar = rc.tm_bar
 
@@ -572,13 +544,12 @@ def turnpike_report(scenario: Scenario, flow: MeasureFlow,
     slope_out = _fit_rate(T - times[out_mask], d_flow[out_mask], plateau)
     lam_out = None if slope_out is None else -slope_out
 
-    flow_ok = bool(np.all(d_flow[window] <= bound_flow[window]
-                          * (1.0 + 1e-9) + 1e-12))
+    flow_pass = ~window | (d_flow <= bound_flow * (1.0 + 1e-9) + 1e-12)
     value_ok = bool(np.all(d_value[window] <= bound_value[window]
                            * (1.0 + 1e-9) + 1e-12))
     half_star = 0.5 * rc.lambda_star
     verdicts = {
-        "flow_bound": flow_ok,
+        "flow_bound": bool(np.all(flow_pass)),
         "value_bound": value_ok,
         "plateau_ratio": float(plateau / max(d_flow[0], 1e-300)),
         "lam_in": lam_in, "lam_out": lam_out,
@@ -589,7 +560,8 @@ def turnpike_report(scenario: Scenario, flow: MeasureFlow,
     }
     return TurnpikeReport(times=times, d_flow=d_flow, d_value=d_value,
                           bound_flow=bound_flow, bound_value=bound_value,
-                          window=window, d_hess=d_hess, W0=W0,
+                          window=window, flow_pass=flow_pass,
+                          d_hess=d_hess, W0=W0,
                           constants=constants, lam_in=lam_in,
                           lam_out=lam_out, verdicts=verdicts)
 

@@ -562,14 +562,14 @@ def check_smallness(scenario: Scenario) -> SmallnessReport:
 # ---------------------------------------------------------------------------
 # assumption probes (sampled, not proved)
 
-def probe_assumptions(scenario: Scenario, n=1000, seed=0, box=None):
-    """Finite-difference probes of every declared constant.
+def probe_assumptions(scenario: Scenario, n=1000, seed=0):
+    """Finite-difference probes of every declared constant on the grid box.
 
     Returns {name: {"measured": ..., "declared": ..., "pass": bool}}.  A probe
     passes when the declared constant dominates the sampled estimate.
     """
     rng = np.random.default_rng(seed)
-    box = box or (scenario.grid.x_min, scenario.grid.x_max)
+    box = (scenario.grid.x_min, scenario.grid.x_max)
     xs = rng.uniform(box[0], box[1], n)
     ys = rng.uniform(box[0], box[1], n)
     us = rng.uniform(-3.0, 3.0, n)

@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._quad import adaptive_simpson
+from ._quad import QUAD_TOL, adaptive_simpson
 from .errors import MfglabError
 
 
@@ -73,7 +73,7 @@ class MonotonicityProfile:
         return np.maximum(-v, 0.0)
 
 
-def _certify(fn, r_min, r_max, quad_tol=1e-10):
+def _certify(fn, r_min, r_max):
     def integrand(s):
         s = max(s, 1e-14 * r_max)
         v = float(fn(np.asarray([s]))[0])
@@ -81,7 +81,7 @@ def _certify(fn, r_min, r_max, quad_tol=1e-10):
             raise ProfileError("profile evaluates to a non-finite value")
         return s * max(-v, 0.0)
 
-    integral = adaptive_simpson(integrand, 0.0, min(1.0, r_max), tol=quad_tol)
+    integral = adaptive_simpson(integrand, 0.0, min(1.0, r_max), tol=QUAD_TOL)
     tail = np.linspace(r_max / 4.0, r_max, 512)
     vals = np.asarray(fn(tail), dtype=float)
     if not np.all(np.isfinite(vals)):
@@ -91,17 +91,17 @@ def _certify(fn, r_min, r_max, quad_tol=1e-10):
                    is_K=bool(np.isfinite(integral) and floor > 0.0))
 
 
-def make_profile(fn, r_min=1e-6, r_max=50.0, name="profile", quad_tol=1e-10):
+def make_profile(fn, r_min=1e-6, r_max=50.0, name="profile"):
     """Build a profile from a vectorized callable and certify it."""
-    report = _certify(fn, r_min, r_max, quad_tol)
+    report = _certify(fn, r_min, r_max)
     return MonotonicityProfile(fn=fn, r_min=r_min, r_max=r_max,
                                asymptotic_floor=report.floor, name=name,
                                certification=report)
 
 
-def certify_class_K(profile: MonotonicityProfile, quad_tol=1e-10) -> KReport:
+def certify_class_K(profile: MonotonicityProfile) -> KReport:
     """Re-run the class-K certification of an existing profile."""
-    return _certify(profile.fn, profile.r_min, profile.r_max, quad_tol)
+    return _certify(profile.fn, profile.r_min, profile.r_max)
 
 
 # ---------------------------------------------------------------------------

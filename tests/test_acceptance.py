@@ -136,6 +136,7 @@ def test_criterion_05_interpolated_coupling(ou_diff):
             f"lam2={qtm.lambda2:.3f}")
 
 
+@pytest.mark.slow
 def test_criterion_06_drift_gap(tm_ou, ou_diff):
     c = 0.2
     lam = tm_ou.lam

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from mfglab.couplings import (CouplingConfig, CouplingError,
                               check_drift_gap_bounds, moment_diagnostic,
                               simulate_coupling, time_regularity)
 from mfglab.metrics import DomainError, build_twisted_metric, \
-    build_quadratic_metric
+    build_quadratic_metric, q_kernel
 from mfglab.model import constant_diffusion, GaussianLaw
 from mfglab.profiles import constant_profile
 
@@ -146,6 +148,7 @@ def test_drift_gap_bounds(tm_ou):
         + c * (1.0 - np.exp(-0.5 * t)) / 0.5, rel=1e-3)
 
 
+@pytest.mark.slow
 def test_drift_gap_delta_extrapolation(tm_ou):
     # common random numbers across delta: the mollification response is
     # ~linear, so a decade of delta shrinks the gap by about ten once the
@@ -162,6 +165,28 @@ def test_drift_gap_delta_extrapolation(tm_ou):
     gap_small = abs(means[1e-3] - means[1e-4])
     # smoke strength: the acceptance suite asserts the full 5x at 1e4 paths
     assert gap_big >= 4.0 * gap_small, means
+
+
+def test_drift_gap_t0_run_keeps_the_config(tm_ou):
+    # a shared control moves both paths of a nonlinear drift, so the t0
+    # coupling run that enters bound_tv must carry it like the main run
+    def drift(t, x):
+        return -x - 0.5 * x ** 3
+
+    cfg = CouplingConfig(kind="approx_delta", dt=1e-3, n_paths=2000,
+                         t_grid=(1.0,), beta=drift,
+                         beta_hat=lambda t, x: drift(t, x) + 0.2,
+                         control=lambda t, x: 2.0, delta=1e-2, master_seed=3)
+    t0 = 0.5
+    rep = check_drift_gap_bounds(cfg, DIFF, pair_at_distance(1.0), tm_ou,
+                                 0.2, t0=t0)
+    st0 = simulate_coupling(replace(cfg, t_grid=(t0,)), DIFF,
+                            pair_at_distance(1.0), tm=tm_ou)
+    ss = np.linspace(t0, 1.0, 257)
+    girsanov = np.sqrt(np.trapezoid(np.full(ss.shape, 0.2 ** 2), ss) / 2.0)
+    expect = q_kernel(tm_ou.C, tm_ou.lam, tm_ou.sigma_check, 1.0 - t0) \
+        * float(st0.mean_f[0]) + girsanov
+    assert rep["bound_tv"] == pytest.approx(expect, rel=1e-12)
 
 
 def test_moment_diagnostic_ou():

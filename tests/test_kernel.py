@@ -127,7 +127,7 @@ def test_blocked_fp_matches_dense_per_step(theta):
 
     m0 = np.exp(-(grid.xs - 0.5) ** 2)
     flow = solve_fokker_planck(grid, n_steps * grid.dt, diffusion, beta, m0,
-                               theta=theta, rannacher=2)
+                               theta=theta)
     ref = dense_fp_reference(grid, diffusion, beta, m0, n_steps, theta, 2)
     assert flow.densities.shape == ref.shape
     assert np.max(np.abs(flow.densities - ref)) <= 1e-12 * np.max(ref)

@@ -7,8 +7,8 @@ from mfglab.profiles import (constant_profile, double_well_profile,
                              make_profile, shift_profile)
 from mfglab.metrics import (build_twisted_metric, build_quadratic_metric,
                             check_differential_inequality, q_kernel,
-                            q_kernel_arr, lemma_kernel_integrals, save_metric,
-                            load_metric, MetricError, DomainError)
+                            lemma_kernel_integrals, save_metric, load_metric,
+                            MetricError, DomainError)
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +122,7 @@ def test_q_kernel_values_and_continuity():
         q_kernel(0.5, 1.0, 1.0, 0.0)
     tt = np.array([0.1, 0.5, 2.0])
     single = [q_kernel(0.5, 1.0, 1.0, t) for t in tt]
-    assert np.allclose(q_kernel_arr(0.5, 1.0, 1.0, tt), single)
+    assert np.allclose(q_kernel(0.5, 1.0, 1.0, tt), single)
 
 
 def test_kernel_integral_example():

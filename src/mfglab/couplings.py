@@ -9,6 +9,7 @@ Brownian-bridge test says the continuous radial path crossed zero inside the
 step (gluing late, never early, so measured contraction is only weakened).
 """
 
+import contextlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -30,6 +31,7 @@ KINDS = ("synchronous", "reflection", "controlled_reflection", "interpolated",
 _GLUE_KINDS = ("reflection", "controlled_reflection", "interpolated")
 _CHUNK_SIZE = 16384       # paths per chunk, each with its own RNG stream
 _OVERFLOW_GUARD = 1e7     # |x| beyond which a path run aborts
+_DRAW_BLOCK = 1 << 18     # draws per block of noise drawn ahead (2 MB)
 _MOMENT_TIMES = 41        # output times of the moment diagnostic
 
 
@@ -95,19 +97,58 @@ class CouplingStats:
     n_paths: int = 0
 
 
-def _smoothstep(u):
-    """C^1 ramp: 0 below 1/2, 1 above 1, monotone cubic in between."""
-    w = np.clip((u - 0.5) / 0.5, 0.0, 1.0)
-    return w * w * (3.0 - 2.0 * w)
-
-
 def _chunk_ranges(n_paths, chunk_size):
     starts = list(range(0, n_paths, chunk_size))
     return [(s, min(s + chunk_size, n_paths)) for s in starts]
 
 
+def _fill_step(rng, rows):
+    """One step's draws, in stream order: z1, z3, u, then z2 if asked."""
+    rng.standard_normal(out=rows[0])
+    rng.standard_normal(out=rows[1])
+    # fixed draw counts per step keep streams aligned across variants
+    # (common random numbers for the delta-extrapolation runs)
+    rng.random(out=rows[2])
+    if len(rows) > 3:
+        rng.standard_normal(out=rows[3])
+
+
+def _draws(rng, n_rows, n_chunk, n_steps, pool):
+    """Yield each step's draws as rows (z1, z3, u[, z2]), in stream order.
+
+    Without a pool each step is drawn when it is asked for.  With a pool
+    (one worker) the rows are filled a block of steps at a time, by the
+    same calls in the same order, so the stream is unchanged, and the next
+    block is filled while the caller uses the current one; the Generator
+    releases the GIL while it fills an array.  Errors of a fill reach the
+    caller through ``result()``; a fill still in flight when the caller
+    stops early is waited for by the pool's shutdown.
+    """
+    if pool is None:
+        rows = np.empty((n_rows, n_chunk))
+        for _ in range(n_steps):
+            _fill_step(rng, rows)
+            yield rows
+        return
+    span = max(1, min(n_steps, _DRAW_BLOCK // (n_rows * n_chunk)))
+    bufs = [np.empty((span, n_rows, n_chunk)) for _ in range(2)]
+
+    def fill(buf, start):
+        rows = buf[:min(span, n_steps - start)]
+        for step in rows:
+            _fill_step(rng, step)
+        return rows
+
+    pending = pool.submit(fill, bufs[0], 0)
+    for b, start in enumerate(range(0, n_steps, span)):
+        rows = pending.result()
+        if start + span < n_steps:
+            pending = pool.submit(fill, bufs[(b + 1) % 2], start + span)
+        yield from rows
+
+
 def _simulate_chunk(config, diffusion, init_sampler, chunk_index, n_chunk,
-                    f_eval, f2_eval, out_steps):
+                    f_eval, f2_eval, out_steps, draw_ahead):
     """One chunk of coupled 1D paths; returns per-output-time accumulators.
 
     The pair is carried as (X, D) with D = X - X_hat, which puts the
@@ -117,6 +158,11 @@ def _simulate_chunk(config, diffusion, init_sampler, chunk_index, n_chunk,
     band entry is detected by a Brownian-bridge barrier test; continuous
     paths cannot tunnel through the band, so sign flips happen only through
     the drift, never through a discrete noise overshoot.
+
+    Each step works in preallocated buffers and keeps the evaluation order
+    of the plain expressions it implements (noted beside each block), so
+    the estimators do not depend on how the step is laid out.  With
+    draw_ahead a one-worker pool draws the next block of noise meanwhile.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence((config.master_seed, chunk_index)))
@@ -130,7 +176,8 @@ def _simulate_chunk(config, diffusion, init_sampler, chunk_index, n_chunk,
     kind = config.kind
     glue_kind = kind in _GLUE_KINDS
     approx = kind == "approx_delta"
-    half_band = 0.5 * config.delta
+    delta = config.delta
+    half_band = 0.5 * delta
     glued = np.zeros(n_chunk, dtype=bool)      # reflected kinds only
     in_band = np.zeros(n_chunk, dtype=bool)    # mollified kind only
     if approx:
@@ -149,96 +196,186 @@ def _simulate_chunk(config, diffusion, init_sampler, chunk_index, n_chunk,
     n_steps = max(out_steps)
     if 0 in step_of:
         _record(sums[step_of[0]], d, glued, f_eval, f2_eval, eps, kind,
-                config.delta)
+                delta)
 
-    for k in range(n_steps):
-        t = k * dt
-        if glue_kind and np.all(glued):
-            break
-        r_old = np.abs(d)
-        xh = x - d
+    if kind == "synchronous":
+        v_refl = 0.0
+        c1, c2 = sigma0, None                 # nd has no z1 term
+    elif kind == "interpolated":
+        amp = sigma0 / math.sqrt(2.0)
+        v_refl = 2.0 * sigma0 ** 2
+        c1, c2 = amp, 2.0 * amp
+    else:  # reflected and mollified kinds
+        v_refl = 4.0 * sigma0 ** 2
+        c1, c2 = sigma0, 2.0 * sigma0
+    bridge_var = 0.5 * v_refl * dt
+    # a constant sigma_bar is one scalar, and then dsb = sb_x - sb_xh is 0
+    sb_const = (np.ravel(diffusion.sigma_bar_scalar(x[:1]))[0]
+                if diffusion.is_constant else None)
 
-        bx = config.beta(t, x)
-        bxh = config.beta(t, xh) if not approx else config.beta_hat(t, xh)
-        if config.control is not None:
-            a = config.control(t, x)
-            bx = bx + a
-            bxh = bxh + a
-        drift_d = bx - bxh
+    def buf(dtype=float):
+        return np.empty(n_chunk, dtype=dtype)
 
-        z1 = rng.standard_normal(n_chunk)
-        z3 = rng.standard_normal(n_chunk)
-        # fixed draw counts per step keep streams aligned across variants
-        # (common random numbers for the delta-extrapolation runs)
-        u_step = rng.random(n_chunk)
-        sb_x = diffusion.sigma_bar_scalar(x)
-        sb_xh = diffusion.sigma_bar_scalar(xh)
-        dsb = sb_x - sb_xh
+    r_old, xh, drift_d, nx, nd, tmp = (buf() for _ in range(6))
+    bxa, bxha, dsb = (buf() for _ in range(3))
+    flag, maybe, below = buf(bool), buf(bool), buf(bool)
+    has_nd = c2 is not None or sb_const is None     # else nd is 0
+    n_rows = 4 if kind in ("interpolated", "approx_delta") else 3  # z2 too
+    if approx:
+        rc, sc, d_band, r_free, sign = (buf() for _ in range(5))
+        out_band = buf(bool)
+    # a fill in flight when the loop stops early is waited for on exit
+    with (ThreadPoolExecutor(max_workers=1) if draw_ahead
+          else contextlib.nullcontext()) as pool:
+        noise = _draws(rng, n_rows, n_chunk, n_steps, pool)
 
-        if kind == "synchronous":
-            nx = sigma0 * z1 + sb_x * z3
-            nd = dsb * z3
-            v_refl = 0.0
-        elif kind in ("reflection", "controlled_reflection"):
-            nx = sigma0 * z1 + sb_x * z3
-            nd = 2.0 * sigma0 * z1 + dsb * z3
-            v_refl = 4.0 * sigma0 ** 2
-        elif kind == "interpolated":
-            z2 = rng.standard_normal(n_chunk)
-            amp = sigma0 / math.sqrt(2.0)
-            nx = amp * z1 + amp * z2 + sb_x * z3
-            nd = 2.0 * amp * z1 + dsb * z3
-            v_refl = 2.0 * sigma0 ** 2
-        else:  # approx_delta
-            z2 = rng.standard_normal(n_chunk)
-            rc = np.where(in_band, 0.0, _smoothstep(r_old / config.delta))
-            sc = np.sqrt(np.maximum(1.0 - rc * rc, 0.0))
-            nx = sigma0 * rc * z1 + sigma0 * sc * z2 + sb_x * z3
-            nd = 2.0 * sigma0 * rc * z1 + dsb * z3
-            v_refl = 4.0 * sigma0 ** 2
+        for k in range(n_steps):
+            t = k * dt
+            if glue_kind and np.all(glued):
+                break
+            np.abs(d, out=r_old)
+            np.subtract(x, d, out=xh)
 
-        x = x + bx * dt + nx * sqdt
-        if glue_kind:
-            d_new = np.where(glued, 0.0, d + drift_d * dt + nd * sqdt)
-            r_new = np.abs(d_new)
-            hit = ~glued & (r_new < eps)
-            if config.bridge_gluing:
-                arg = r_old * r_new / (0.5 * v_refl * dt)
-                maybe = ~glued & ~hit & (arg < 40.0)
-                crossed = maybe & (u_step < np.exp(-np.where(maybe, arg, 0.0)))
-                hit = hit | crossed
-            glued = glued | hit
-            d = np.where(glued, 0.0, d_new)
-        elif approx:
-            # noise-free band: drift-only advance, sign may change via drift
-            d_band = d + drift_d * dt
-            d_free = d + drift_d * dt + nd * sqdt
-            sign = np.where(d >= 0.0, 1.0, -1.0)
-            r_free = sign * d_free                 # signed: <0 means crossed
-            entered = ~in_band & (r_free <= half_band)
-            # bridge test against the band edge for non-entering paths
-            gap_old = r_old - half_band
-            gap_new = r_free - half_band
-            arg = gap_old * np.maximum(gap_new, 0.0) / (0.5 * v_refl * dt)
-            maybe = ~in_band & ~entered & (arg < 40.0)
-            bridged = maybe & (u_step < np.exp(-np.where(maybe, arg, 0.0)))
-            d = np.where(in_band, d_band,
-                         np.where(entered,
-                                  sign * np.clip(r_free, 0.0, half_band),
-                                  np.where(bridged, sign * 0.5 * half_band,
-                                           d_free)))
-            in_band = np.abs(d) <= half_band
-        else:
-            d = d + drift_d * dt + nd * sqdt
+            bx = config.beta(t, x)
+            bxh = config.beta(t, xh) if not approx else config.beta_hat(t, xh)
+            if config.control is not None:
+                a = config.control(t, x)
+                bx = np.add(bx, a, out=bxa)
+                bxh = np.add(bxh, a, out=bxha)
+            np.subtract(bx, bxh, out=drift_d)
 
-        if np.max(np.abs(x)) > _OVERFLOW_GUARD:
-            raise CouplingError("path overflow: reduce dt or check the drift")
+            step = next(noise)
+            z1, z3, u_step = step[0], step[1], step[2]
+            if sb_const is None:
+                sb_x = diffusion.sigma_bar_scalar(x)
+                np.subtract(sb_x, diffusion.sigma_bar_scalar(xh), out=dsb)
+            else:
+                sb_x = sb_const
 
-        s = k + 1
-        if s in step_of:
-            _record(sums[step_of[s]], d, glued, f_eval, f2_eval, eps, kind,
-                    config.delta)
+            # path noise nx = c1 z1 [+ c1 z2] + sb_x z3 and separation noise
+            # nd = c2 z1 [+ dsb z3]; the mollified kind scales the z1 and z2
+            # terms: nx = (c1 rc) z1 + (c1 sc) z2 + ..., nd = (c2 rc) z1 + ...
+            if approx:
+                # reflection weight rc = (w w) (3 - 2 w), the C^1 ramp of
+                # w = clip((r_old / delta - 0.5) / 0.5, 0, 1); it is exactly
+                # 0 in the band (r_old <= delta / 2), so needs no mask there
+                np.divide(r_old, delta, out=rc)
+                np.subtract(rc, 0.5, out=rc)
+                np.multiply(rc, 2.0, out=rc)   # == / 0.5: both exact
+                np.clip(rc, 0.0, 1.0, out=rc)
+                np.multiply(rc, 2.0, out=tmp)
+                np.subtract(3.0, tmp, out=tmp)
+                np.multiply(rc, rc, out=rc)
+                np.multiply(rc, tmp, out=rc)
+                # sc = sqrt(max(1 - rc rc, 0))
+                np.multiply(rc, rc, out=sc)
+                np.subtract(1.0, sc, out=sc)
+                np.maximum(sc, 0.0, out=sc)
+                np.sqrt(sc, out=sc)
+                np.multiply(rc, c1, out=nx)
+                np.multiply(nx, z1, out=nx)
+                np.multiply(sc, c1, out=sc)
+                np.multiply(sc, step[3], out=sc)
+                np.add(nx, sc, out=nx)
+                np.multiply(rc, c2, out=nd)
+                np.multiply(nd, z1, out=nd)
+            else:
+                np.multiply(z1, c1, out=nx)
+                if kind == "interpolated":
+                    np.multiply(step[3], c1, out=tmp)
+                    np.add(nx, tmp, out=nx)
+                if c2 is not None:
+                    np.multiply(z1, c2, out=nd)
+            np.multiply(sb_x, z3, out=tmp)
+            np.add(nx, tmp, out=nx)
+            if sb_const is None and c2 is None:
+                np.multiply(dsb, z3, out=nd)
+            elif sb_const is None:
+                np.multiply(dsb, z3, out=tmp)
+                np.add(nd, tmp, out=nd)
+
+            # x <- (x + bx dt) + nx sqdt
+            np.multiply(bx, dt, out=tmp)
+            np.add(x, tmp, out=x)
+            np.multiply(nx, sqdt, out=tmp)
+            np.add(x, tmp, out=x)
+
+            # d_free = (d + drift_d dt) + nd sqdt
+            np.multiply(drift_d, dt, out=tmp)
+            if approx:
+                # d_band = d + drift_d dt is the noise-free band advance;
+                # sign = (d >= 0) 2 - 1
+                np.add(d, tmp, out=d_band)
+                np.greater_equal(d, 0.0, out=flag)
+                np.multiply(flag, 2.0, out=sign)
+                np.subtract(sign, 1.0, out=sign)
+                np.multiply(nd, sqdt, out=tmp)
+                np.add(d_band, tmp, out=d)
+                np.multiply(sign, d, out=r_free)   # signed: <0 means crossed
+                # entered = ~in_band & (r_free <= half_band)
+                np.logical_not(in_band, out=out_band)
+                np.less_equal(r_free, half_band, out=flag)
+                np.logical_and(flag, out_band, out=flag)
+                # bridge test against the band edge for paths outside the band
+                # that did not enter: maybe = ~in_band & ~entered & (arg < 40)
+                # with arg = (r_old - half_band) max(r_free - half_band, 0)
+                # / bridge_var, and bridged = maybe & (u < exp(-arg))
+                np.subtract(r_free, half_band, out=nx)
+                np.maximum(nx, 0.0, out=nx)
+                np.subtract(r_old, half_band, out=tmp)
+                np.multiply(tmp, nx, out=tmp)
+                np.divide(tmp, -bridge_var, out=tmp)       # -arg
+                np.greater(tmp, -40.0, out=maybe)
+                np.greater(maybe, flag, out=maybe)
+                np.logical_and(maybe, out_band, out=maybe)
+                _bridge(tmp, u_step, maybe, below)
+                # d = d_band in the band; sign clip(r_free, 0, half_band) where
+                # it entered; sign (half_band / 2) where bridged; else d_free
+                np.copyto(d, d_band, where=in_band)
+                np.clip(r_free, 0.0, half_band, out=r_free)
+                np.multiply(sign, r_free, out=d, where=flag)
+                np.multiply(sign, 0.5 * half_band, out=d, where=maybe)
+                np.abs(d, out=tmp)
+                np.less_equal(tmp, half_band, out=in_band)
+            else:
+                np.add(d, tmp, out=d)
+                if has_nd:
+                    np.multiply(nd, sqdt, out=tmp)
+                    np.add(d, tmp, out=d)
+                if glue_kind:
+                    # newly glued: r_new < eps, or the bridge says the path
+                    # crossed 0 (arg = r_old r_new / bridge_var < 40 and u <
+                    # exp(-arg)); glued pairs stay glued and stay at 0
+                    np.abs(d, out=nx)
+                    np.logical_or(glued, np.less(nx, eps, out=flag), out=glued)
+                    if config.bridge_gluing:
+                        np.multiply(r_old, nx, out=tmp)
+                        np.divide(tmp, -bridge_var, out=tmp)   # -arg
+                        np.greater(tmp, -40.0, out=maybe)
+                        _bridge(tmp, u_step, maybe, below)
+                        np.logical_or(glued, maybe, out=glued)
+                    np.copyto(d, 0.0, where=glued)
+
+            if max(x.max(), -x.min()) > _OVERFLOW_GUARD:
+                raise CouplingError(
+                    "path overflow: reduce dt or check the drift")
+
+            s = k + 1
+            if s in step_of:
+                _record(sums[step_of[s]], d, glued, f_eval, f2_eval, eps, kind,
+                        delta)
     return sums, acc0, f2_0
+
+
+def _bridge(neg_arg, u_step, maybe, below):
+    """maybe &= u < exp(-arg), given -arg; overwrites neg_arg.
+
+    Where maybe holds, arg >= 0, so capping -arg at 0 changes nothing
+    there and keeps exp from overflowing where it does not.
+    """
+    np.minimum(neg_arg, 0.0, out=neg_arg)
+    np.exp(neg_arg, out=neg_arg)
+    np.logical_and(maybe, np.less(u_step, neg_arg, out=below), out=maybe)
 
 
 def _record(row, d, glued, f_eval, f2_eval, eps, kind, delta):
@@ -277,14 +414,19 @@ def simulate_coupling(config: CouplingConfig, diffusion, init_sampler,
 
     ranges = _chunk_ranges(config.n_paths, config.chunk_size)
     results = [None] * len(ranges)
+    # a spare worker per chunk draws its noise ahead; at most n_threads
+    # threads (chunk workers plus drawers) run at once
+    draw_ahead = config.n_threads >= 2 * len(ranges)
 
     def work(i):
         lo, hi = ranges[i]
         results[i] = _simulate_chunk(config, diffusion, init_sampler, i,
-                                     hi - lo, f_eval, f2_eval, out_steps)
+                                     hi - lo, f_eval, f2_eval, out_steps,
+                                     draw_ahead)
 
-    if config.n_threads > 1:
-        with ThreadPoolExecutor(max_workers=config.n_threads) as pool:
+    if config.n_threads > 1 and len(ranges) > 1:
+        with ThreadPoolExecutor(
+                max_workers=min(config.n_threads, len(ranges))) as pool:
             list(pool.map(work, range(len(ranges))))
     else:
         for i in range(len(ranges)):
@@ -400,11 +542,15 @@ def moment_diagnostic(beta, diffusion, init_sampler, p, T, dt=1e-3,
         step_of = {int(s): j for j, s in enumerate(out_steps)}
         if 0 in step_of:
             totals[step_of[0]] += np.sum(np.abs(x) ** p)
+        if diffusion.is_constant:   # one value, broadcast over the paths
+            noise = np.sqrt(diffusion.sigma0 ** 2
+                            + diffusion.sigma_bar_scalar(x[:1]) ** 2)
         for k in range(n_steps):
             t = k * dt
             z = rng.standard_normal(hi - lo)
-            sb = diffusion.sigma_bar_scalar(x)
-            noise = np.sqrt(diffusion.sigma0 ** 2 + sb ** 2)
+            if not diffusion.is_constant:
+                sb = diffusion.sigma_bar_scalar(x)
+                noise = np.sqrt(diffusion.sigma0 ** 2 + sb ** 2)
             x = x + beta(t, x) * dt + noise * z * np.sqrt(dt)
             if (k + 1) in step_of:
                 totals[step_of[k + 1]] += np.sum(np.abs(x) ** p)

@@ -137,3 +137,20 @@ def test_coupling_subcommand_small(tmp_path):
     assert code == 0
     csv = (tmp_path / "ou-coupling" / "coupling.csv").read_text()
     assert csv.splitlines()[0] == "t,mean_f,se_f,bound_f,p_neq,se_p,bound_p"
+
+
+def test_coupling_thread_determinism(tmp_path):
+    # 5000 paths are one chunk, so --threads 2 draws its noise ahead on the
+    # spare worker while --threads 1 draws it inline: same bytes out
+    raw = json.loads(scenario_path("ou").read_text())
+    raw["mc"] = {"n_paths": 5000, "dt": 1e-3,
+                 "master_seed": 20240901, "t_grid": [1.0, 2.0]}
+    quick = tmp_path / "ou_small.json"
+    quick.write_text(json.dumps(raw))
+    for threads in ("1", "2"):
+        assert main(["coupling", "--scenario", str(quick), "--out",
+                     str(tmp_path / threads), "--threads", threads]) == 0
+    for name in ("coupling.csv", "summary.json"):
+        one = (tmp_path / "1" / "ou-coupling" / name).read_bytes()
+        two = (tmp_path / "2" / "ou-coupling" / name).read_bytes()
+        assert one == two, name

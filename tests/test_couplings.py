@@ -1,14 +1,18 @@
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mfglab.couplings import (CouplingConfig, CouplingError,
+from coupling_reference import reference_chunk
+from mfglab import couplings
+from mfglab.couplings import (KINDS, CouplingConfig, CouplingError,
                               check_drift_gap_bounds, moment_diagnostic,
                               simulate_coupling, time_regularity)
 from mfglab.metrics import DomainError, build_twisted_metric, \
     build_quadratic_metric, q_kernel
-from mfglab.model import constant_diffusion, GaussianLaw
+from mfglab.model import constant_diffusion, varying_diffusion, GaussianLaw
 from mfglab.profiles import constant_profile
 
 
@@ -229,15 +233,78 @@ def test_time_regularity_diagnostics():
         time_regularity(np.array([0.0]), [np.zeros(5)])
 
 
-def test_determinism_across_threads(tm_ou):
-    base = dict(kind="reflection", dt=1e-3, n_paths=30_000, t_grid=(1.0,),
-                beta=lambda t, x: -x, master_seed=31, chunk_size=4096)
-    one = simulate_coupling(CouplingConfig(n_threads=1, **base), DIFF,
+VARYING = varying_diffusion(lambda x: 1.5 + 0.2 * np.tanh(x), 1.0, 1.2, 0.2)
+
+
+def spread_pair(n, rng):
+    # draws from the chunk's stream before the first step
+    return 0.5 + 0.3 * rng.standard_normal(n), np.full(n, -0.5)
+
+
+def reference_stats(config, diffusion, init, tm):
+    """simulate_coupling through the step-by-step reference kernel."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(couplings, "_simulate_chunk", reference_chunk)
+        return simulate_coupling(replace(config, n_threads=1), diffusion,
+                                 init, tm=tm)
+
+
+@pytest.fixture
+def short_switch_interval():
+    # threads trade the GIL often, so a noise block reused too early shows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    yield
+    sys.setswitchinterval(interval)
+
+
+def test_determinism_across_threads(tm_ou, short_switch_interval):
+    # every kind, both diffusion paths, one chunk and three, and 1, 2 and 8
+    # workers (8 draws noise ahead for three chunks, 2 for one): every
+    # estimator equals the reference kernel's bit for bit
+    fields = ("mean_f", "se_f", "p_neq", "se_p", "mean_r", "bound_f",
+              "bound_p", "mean_f0")
+    for kind in KINDS:
+        extra = {"controlled_reflection":
+                 dict(control=lambda t, x: 0.5 * np.tanh(x)),
+                 "approx_delta": dict(beta_hat=lambda t, x: -x + 0.3,
+                                      delta=0.05)}.get(kind, {})
+        for diff in (DIFF, VARYING):
+            for chunk_size in (16384, 1024):
+                cfg = CouplingConfig(kind=kind, dt=1e-2, n_paths=3000,
+                                     t_grid=(0.0, 0.5, 2.0),
+                                     beta=lambda t, x: -x, master_seed=31,
+                                     chunk_size=chunk_size, **extra)
+                ref = reference_stats(cfg, diff, spread_pair, tm_ou)
+                for n_threads in (1, 2, 8):
+                    got = simulate_coupling(
+                        replace(cfg, n_threads=n_threads), diff,
+                        spread_pair, tm=tm_ou)
+                    case = (kind, diff.is_constant, chunk_size, n_threads)
+                    for f in fields:
+                        assert np.array_equal(getattr(got, f),
+                                              getattr(ref, f)), (case, f)
+
+
+def test_draw_ahead_leaves_no_thread(tm_ou):
+    # one chunk at 2 workers draws noise ahead; both early exits (every
+    # pair glued long before the last output time, and the overflow guard)
+    # wait for the fill in flight and stop the drawing thread
+    before = threading.active_count()
+    cfg = CouplingConfig(kind="reflection", dt=1e-2, n_paths=200,
+                         t_grid=(1.0, 50.0), beta=lambda t, x: -x,
+                         master_seed=37, n_threads=2)
+    stats = simulate_coupling(cfg, DIFF, pair_at_distance(1.0), tm=tm_ou)
+    assert stats.p_neq[-1] == 0.0
+    assert threading.active_count() == before
+    one = simulate_coupling(replace(cfg, n_threads=1), DIFF,
                             pair_at_distance(1.0), tm=tm_ou)
-    many = simulate_coupling(CouplingConfig(n_threads=8, **base), DIFF,
-                             pair_at_distance(1.0), tm=tm_ou)
-    assert one.mean_f[0] == many.mean_f[0]
-    assert one.p_neq[0] == many.p_neq[0]
+    assert np.array_equal(stats.mean_f, one.mean_f)
+    blow_up = replace(cfg, dt=1e-3, t_grid=(1.0,),
+                      beta=lambda t, x: 50.0 * x)
+    with pytest.raises(CouplingError, match="overflow"):
+        simulate_coupling(blow_up, DIFF, pair_at_distance(1.0))
+    assert threading.active_count() == before
 
 
 def test_config_validation():

@@ -14,9 +14,10 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import lapack
 
-from .distances import f_norm, lip_norm, tv_grid
+from .distances import f_norm, lip_norm, tv_grid, wf_grid
 from .errors import MfglabError
-from .metrics import MetricError, TwistedMetric
+from .metrics import (MetricError, TwistedMetric, q_integral, q_kernel,
+                      q_weighted_integral)
 from .model import DiffusionSpec, Grid1D, RunningCostSpec, Scenario, policy
 
 
@@ -446,7 +447,6 @@ def theoretical_value_fnorm(t, T, tm_b: TwistedMetric, C_x_ell, g_fnorm,
     and the oscillation-cost route when those constants exist; the smallest
     applicable bound is returned.
     """
-    from .metrics import q_integral, q_kernel
     lam, C = tm_b.lam, tm_b.C
     tau = T - t
     candidates = []
@@ -498,7 +498,6 @@ def lipschitz_ledger(value: ValueFunction, scenario: Scenario,
 def hessian_ledger(value: ValueFunction, scenario: Scenario,
                    tm_b: TwistedMetric) -> BoundLedger:
     """Second-derivative bounds along the solve (constant diffusion only)."""
-    from .metrics import q_kernel, q_weighted_integral
     from .profiles import shift_profile
     from .model import _build_extending
     cost, inter, term, drift = (scenario.running_cost, scenario.interaction,
@@ -583,7 +582,6 @@ def stability_ledger(value: ValueFunction, value_hat: ValueFunction,
     C_x_delta_g for state-only cost gaps, or C_delta_l / C_delta_b /
     C_u_delta_l / plus a terminal gap for bounded perturbations.
     """
-    from .metrics import q_weighted_integral
     cost = scenario.running_cost
     lam, C = tm_tilde.lam, tm_tilde.C
     T = float(value.times[-1])
@@ -631,7 +629,6 @@ def stability_ledger(value: ValueFunction, value_hat: ValueFunction,
 
     led.extras["delta_u"] = delta_u
     if flow is not None and flow_hat is not None:
-        from .distances import wf_grid
         w0 = wf_grid(flow.xs, flow.densities[0], flow_hat.densities[0],
                      tm_tilde.f)
         wf_meas, wf_theo, tv_meas, tv_theo = [], [], [], []
@@ -653,7 +650,6 @@ def stability_ledger(value: ValueFunction, value_hat: ValueFunction,
                 girsanov = np.sqrt(np.trapezoid(
                     np.array([delta_u(s) ** 2 for s in np.linspace(t0, t, 65)]),
                     np.linspace(t0, t, 65)) / 2.0)
-                from .metrics import q_kernel
                 tv_theo.append(q_kernel(C, lam, tm_tilde.sigma_check, t - t0)
                                * (np.exp(-lam * t0) * w0 + conv0) + girsanov)
             else:

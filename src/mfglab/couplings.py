@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .distances import w1_samples
+from .distances import tv_grid, w1_grid, w1_samples
 from .errors import MfglabError
 from .metrics import DomainError, q_kernel
 
@@ -480,7 +480,25 @@ def check_drift_gap_bounds(config: CouplingConfig, diffusion, init_sampler,
     """
     if config.kind != "approx_delta":
         raise CouplingError("drift-gap bounds need the approx_delta coupling")
-    stats = simulate_coupling(config, diffusion, init_sampler, tm=tm)
+    run = config
+    if t0 is not None:
+        if max(config.t_grid) <= t0:
+            raise DomainError("coalescence bound needs t > t0")
+        # the bound reads the coupling at t0 off the same run, as one more
+        # output time: recording a time leaves the paths unchanged
+        t0_out = max(t0, config.dt)
+        step0 = round(t0_out / config.dt)
+        extra = all(round(t / config.dt) != step0 for t in config.t_grid)
+        if extra:
+            run = replace(config, t_grid=tuple(config.t_grid) + (t0_out,))
+    stats = simulate_coupling(run, diffusion, init_sampler, tm=tm)
+    if t0 is not None:
+        at_t0 = np.round(stats.t_grid / config.dt) == step0
+        mean_f_t0 = float(stats.mean_f[at_t0][0])
+        if extra:   # report the caller's output times only
+            stats = replace(stats, **{k: v[~at_t0] for k, v in
+                                      vars(stats).items()
+                                      if isinstance(v, np.ndarray)})
     lam = tm.lam
     gap = delta_beta_sup if callable(delta_beta_sup) \
         else (lambda s: delta_beta_sup)
@@ -499,15 +517,11 @@ def check_drift_gap_bounds(config: CouplingConfig, diffusion, init_sampler,
 
     if t0 is not None:
         t_end = float(t_arr[-1])
-        if t_end <= t0:
-            raise DomainError("coalescence bound needs t > t0")
-        cfg0 = replace(config, t_grid=(max(t0, config.dt),))
-        st0 = simulate_coupling(cfg0, diffusion, init_sampler, tm=tm)
         ss = np.linspace(t0, t_end, 257)
         girsanov = np.sqrt(np.trapezoid(np.array([gap(s) ** 2 for s in ss]),
                                         ss) / 2.0)
         bound_tv = q_kernel(tm.C, tm.lam, tm.sigma_check, t_end - t0) \
-            * float(st0.mean_f[0]) + girsanov
+            * mean_f_t0 + girsanov
         report["bound_tv"] = bound_tv
         report["tv_true"] = tv_true
         if tv_true is not None:
@@ -591,12 +605,10 @@ def time_regularity(times, marginals, kind="particles", xs=None,
             if kind == "particles":
                 d = w1_samples(marginals[i], marginals[i + lag])
             else:
-                from .distances import w1_grid
                 d = w1_grid(xs, marginals[i], marginals[i + lag], check=False)
             w1_best = max(w1_best, d / np.sqrt(gap))
             if kind == "grid" and (tv_floor_time is None
                                    or times[i] >= tv_floor_time):
-                from .distances import tv_grid
                 tvd = tv_grid(xs, marginals[i], marginals[i + lag],
                               check=False)
                 tv_best = max(tv_best, tvd / np.sqrt(gap))

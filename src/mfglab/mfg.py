@@ -29,7 +29,7 @@ from .model import (GridDensity, Scenario, SmallnessReport, check_smallness,
 # fraction of the certified rate lambda_star
 REPORT_RATE_FRACTION = 0.9
 _SOURCE_SLICES = 401        # time slices tabulating an interaction source
-_CONTRACTION_SLICES = 17    # flow slices of the Picard contraction LPs
+_CONTRACTION_SLICES = 17    # flow slices measured in W_f per Picard sweep
 _MAP_HORIZON = 1.0          # horizon of the normalized ergodic map
 _MAX_OUTER = 60             # ergodic outer sweeps
 _REPORT_TIMES = 81          # report times along the finite-horizon flow

@@ -3,8 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mfglab import _quad, control, couplings, distances, metrics, mfg, model
-from mfglab import profiles
+from mfglab import _quad, control, couplings, metrics, mfg, model, profiles
 from mfglab.cli import EXIT_CODES, main
 from mfglab.errors import MfglabError
 from mfglab.model import scenario_path
@@ -117,10 +116,10 @@ def test_numerical_failure_exit_3(tmp_path):
 def test_every_error_has_a_kind():
     classes = [_quad.QuadratureError, _quad.BracketError,
                control.SchemeError, control.BlowUpError,
-               couplings.CouplingError, distances.TransportError,
-               metrics.MetricError, metrics.DomainError,
-               mfg.FixedPointError, model.EllipticityError,
-               model.ConvexityError, model.ConfigError, profiles.ProfileError]
+               couplings.CouplingError, metrics.MetricError,
+               metrics.DomainError, mfg.FixedPointError,
+               model.EllipticityError, model.ConvexityError,
+               model.ConfigError, profiles.ProfileError]
     for cls in classes:
         assert issubclass(cls, MfglabError) and cls.kind in EXIT_CODES, cls
         assert issubclass(cls, (ValueError, RuntimeError)), cls

@@ -172,8 +172,9 @@ def test_drift_gap_delta_extrapolation(tm_ou):
 
 
 def test_drift_gap_t0_run_keeps_the_config(tm_ou):
-    # a shared control moves both paths of a nonlinear drift, so the t0
-    # coupling run that enters bound_tv must carry it like the main run
+    # a shared control moves both paths of a nonlinear drift, so the
+    # coupling at t0 that enters bound_tv must carry it: it equals a run of
+    # the whole config stopped at t0
     def drift(t, x):
         return -x - 0.5 * x ** 3
 
@@ -191,6 +192,11 @@ def test_drift_gap_t0_run_keeps_the_config(tm_ou):
     expect = q_kernel(tm_ou.C, tm_ou.lam, tm_ou.sigma_check, 1.0 - t0) \
         * float(st0.mean_f[0]) + girsanov
     assert rep["bound_tv"] == pytest.approx(expect, rel=1e-12)
+    # t0 is read off the main run, whose reported stats keep the caller's
+    # output times and equal a run without t0, bit for bit
+    plain = simulate_coupling(cfg, DIFF, pair_at_distance(1.0), tm=tm_ou)
+    for name, v in vars(plain).items():
+        np.testing.assert_array_equal(getattr(rep["stats"], name), v)
 
 
 def test_moment_diagnostic_ou():

@@ -1,10 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mfglab.distances import (w1_grid, w1_samples, tv_grid, wf_grid, wf_atoms,
                               quantile_atoms, f_norm, lip_norm)
 from mfglab.metrics import DomainError, build_twisted_metric
 from mfglab.profiles import constant_profile
+from transport_reference import transport_lp
 
 
 def gauss(x, m, v):
@@ -83,17 +87,59 @@ def test_wf_point_masses(tm):
         assert w1_samples([0.0], [a]) == a
 
 
-def test_wf_sandwich_random_pairs(grid, tm):
-    rng = np.random.default_rng(17)
-    for _ in range(8):
-        p = gauss(grid, rng.uniform(-2, 2), rng.uniform(0.3, 2.0))
-        q = gauss(grid, rng.uniform(-2, 2), rng.uniform(0.3, 2.0))
-        atoms_p = quantile_atoms(grid, p, 96)
-        atoms_q = quantile_atoms(grid, q, 96)
-        wf = wf_atoms(atoms_p, atoms_q, tm.f)
-        w1 = w1_samples(atoms_p, atoms_q)
-        assert wf <= w1 * (1.0 + 1e-9)
-        assert wf >= tm.C * w1 * (1.0 - 1e-9)
+def random_clouds(seed, sizes):
+    """Seeded equal-size atom pairs, some sharing atoms (cost f(0) = 0)."""
+    rng = np.random.default_rng(seed)
+    for n in sizes:
+        xa = rng.normal(rng.uniform(-2, 2), rng.uniform(0.2, 2.0), n)
+        xb = rng.normal(rng.uniform(-2, 2), rng.uniform(0.2, 2.0), n)
+        xb[:n // 4] = xa[:n // 4]
+        yield xa, xb
+
+
+def test_wf_atoms_matches_transport_lp(tm):
+    sizes = np.random.default_rng(3).integers(2, 129, 24).tolist() + [128]
+    for xa, xb in random_clouds(31, sizes):
+        w = np.full(len(xa), 1.0 / len(xa))
+        ref = transport_lp(xa, w, xb, w, tm.f)
+        assert wf_atoms(xa, xb, tm.f) == pytest.approx(ref, rel=1e-7)
+
+
+def test_wf_atoms_is_the_cheapest_permutation(tm):
+    # brute force: an equal-weight plan is optimal at a permutation
+    for xa, xb in random_clouds(41, [1, 2, 3, 4, 5, 6] * 4):
+        cost = tm.f(np.abs(xa[:, None] - xb[None, :]))
+        rows = np.arange(len(xa))
+        best = min(cost[rows, list(perm)].sum()
+                   for perm in itertools.permutations(rows))
+        assert wf_atoms(xa, xb, tm.f) == pytest.approx(best / len(xa),
+                                                       rel=1e-12)
+
+
+def test_wf_atoms_non_finite_cost_raises(tm):
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            wf_atoms([bad, 0.0], [1.0, 2.0], tm.f)
+
+
+def gauss_mixture(x, parts):
+    weights = np.array([w for _, _, w in parts])
+    return sum(w * gauss(x, m, v) for (m, v, _), w
+               in zip(parts, weights / weights.sum()))
+
+
+mixtures = st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.1, 2.0),
+                              st.floats(0.1, 1.0)), min_size=1, max_size=3)
+
+
+@given(p_parts=mixtures, q_parts=mixtures, n_atoms=st.integers(1, 128))
+def test_wf_sandwich_random_pairs(grid, tm, p_parts, q_parts, n_atoms):
+    atoms_p = quantile_atoms(grid, gauss_mixture(grid, p_parts), n_atoms)
+    atoms_q = quantile_atoms(grid, gauss_mixture(grid, q_parts), n_atoms)
+    wf = wf_atoms(atoms_p, atoms_q, tm.f)
+    w1 = w1_samples(atoms_p, atoms_q)
+    assert wf <= w1 * (1.0 + 1e-9)
+    assert wf >= tm.C * w1 * (1.0 - 1e-9)
 
 
 def test_wf_grid_with_cancellation(grid, tm):
@@ -103,6 +149,12 @@ def test_wf_grid_with_cancellation(grid, tm):
     w1 = w1_grid(grid, p, q)
     assert 0.0 < wf <= w1 * (1.0 + 1e-6)
     assert wf_grid(grid, p, p, tm.f) == 0.0
+    # moving a fraction eps of the mass costs eps times as much, down to
+    # residual masses far below any LP feasibility tolerance
+    for eps in (1e-2, 1e-4, 1e-6):
+        q_eps = (1.0 - eps) * p + eps * q
+        assert wf_grid(grid, p, q_eps, tm.f) == pytest.approx(eps * wf,
+                                                              rel=1e-9)
 
 
 def test_f_norm_measures_quadratic():

@@ -245,7 +245,7 @@ def cmd_control(sc, path, run, args):
 def cmd_ergodic(sc, path, run, args):
     rep = check_smallness(sc)
     if sc.interaction.kind == "none":
-        sol = frozen_ergodic(sc, None, tm_bar=None)
+        sol = frozen_ergodic(sc, None)
     else:
         sol = solve_ergodic_mfg(sc, force=args.force, smallness=rep)
     with open(run.file("ergodic.json"), "w") as fh:

@@ -411,6 +411,9 @@ def simulate_coupling(config: CouplingConfig, diffusion, init_sampler,
     for t in config.t_grid:
         if abs(round(t / dt) * dt - t) > 1e-9:
             raise CouplingError(f"output time {t:g} not on the dt grid")
+    if len(out_steps) != len(config.t_grid):
+        raise CouplingError(f"two output times of {tuple(config.t_grid)} "
+                            f"fall on the same step of dt={dt:g}")
 
     ranges = _chunk_ranges(config.n_paths, config.chunk_size)
     results = [None] * len(ranges)

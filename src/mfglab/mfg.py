@@ -4,21 +4,27 @@ points, and exponential turnpike verification.
 The finite-horizon equilibrium is a Picard iteration on measure
 flows; each sweep solves the frozen backward equation with the interaction
 evaluated along the current flow and pushes the initial law through the
-resulting optimal drift.  The ergodic triple comes from a horizon-one
-normalized Banach map for the frozen problem and an outer fixed point over
-frozen measures.  The turnpike report compares measured distances between
-the two solutions with the certified two-sided exponential envelope.
+resulting optimal drift.  The ergodic triple is an outer fixed point over
+frozen measures; each frozen problem is the value solver's discrete
+stationary equation, solved by Newton and certified by one sweep of the
+horizon-one normalized map, whose fixed points are exactly its solutions.
+frozen_ergodic iterates that map itself, to measure its contraction.  The
+turnpike report compares measured distances between the two solutions with
+the certified two-sided exponential envelope.
 """
 
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
 from scipy import stats as sstats
+from scipy.sparse.linalg import splu
 
-from .control import (MeasureFlow, ValueFunction, gradient_second_order,
-                      optimal_flow, solve_fokker_planck, solve_hjb,
-                      stationary_density_cc)
+from .control import (MeasureFlow, SchemeError, ValueFunction,
+                      gradient_second_order, optimal_flow,
+                      solve_fokker_planck, solve_hjb, stationary_density_cc,
+                      upwind_gradient)
 from .distances import f_norm, tv_grid, w1_grid, wf_grid
 from .errors import MfglabError
 from .metrics import DomainError, q_kernel
@@ -32,6 +38,7 @@ _SOURCE_SLICES = 401        # time slices tabulating an interaction source
 _CONTRACTION_SLICES = 17    # flow slices measured in W_f per Picard sweep
 _MAP_HORIZON = 1.0          # horizon of the normalized ergodic map
 _MAX_OUTER = 60             # ergodic outer sweeps
+_NEWTON_MAX_STEPS = 30      # Newton steps of one ergodic inner solve
 _REPORT_TIMES = 81          # report times along the finite-horizon flow
 
 
@@ -182,48 +189,36 @@ def solve_mfg(scenario: Scenario, tol=1e-5, max_iters=30, force=False,
 # ---------------------------------------------------------------------------
 # ergodic problems
 
-def frozen_ergodic(scenario: Scenario, mu_frozen=None, tol=1e-9,
-                   max_iters=400, tm_bar=None, g0=None):
-    """Normalized horizon-map iteration for the frozen ergodic triple.
+def _frozen_source(scenario: Scenario, mu_frozen):
+    """Interaction term at a frozen density on the scenario grid, or None."""
+    inter = scenario.interaction
+    if inter.kind == "none" or mu_frozen is None:
+        return None
+    xs = scenario.grid.xs
+    return inter.value(GridDensity(xs, mu_frozen), xs)
 
-    mu_frozen is a density on the scenario grid (or None for no
-    interaction).  The map solves the frozen problem over _MAP_HORIZON,
-    recenters at x = 0, and iterates to its fixed point; the ergodic level
-    is read off the residual constant, whose spatial flatness certifies the
-    grid resolution.  tm_bar supplies the twisted metric measuring the
-    iterate gaps (None falls back to the plain Lipschitz seminorm).
+
+def _invariant_density(scenario: Scenario, grad):
+    """Stationary density of the state driven by the feedback of grad."""
+    xs = scenario.grid.xs
+
+    def beta_inf(x):
+        gg = np.interp(x, xs, grad)
+        return scenario.drift.b(x) + policy(scenario.running_cost, x, gg)
+
+    return stationary_density_cc(scenario.grid, scenario.diffusion, beta_inf)
+
+
+def _certify_ergodic(scenario: Scenario, g, src_vals, tol, iterations,
+                     factors):
+    """One horizon sweep from a fixed point g of the normalized map.
+
+    The sweep reads the per-horizon level off g; its spatial flatness
+    certifies that g solves the discrete stationary equation.
     """
     grid = scenario.grid
     xs = grid.xs
-    i0 = int(np.argmin(np.abs(xs)))
-    inter = scenario.interaction
-    if inter.kind != "none" and mu_frozen is not None:
-        mu_obj = GridDensity(xs, mu_frozen)
-        src_vals = inter.value(mu_obj, xs)
-        source = lambda t, x: src_vals
-    else:
-        source = None
-
-    f_eval = tm_bar.f if tm_bar is not None else (lambda r: r)
-
-    g = np.zeros_like(xs) if g0 is None else np.asarray(g0, dtype=float)
-    diffs = []
-    value = None
-    for it in range(1, max_iters + 1):
-        value = solve_hjb(grid, _MAP_HORIZON, scenario.diffusion,
-                          scenario.drift.b, scenario.running_cost, g,
-                          source=source, max_slices=3)
-        g_new = value.phi[0] - value.phi[0][i0]
-        diffs.append(f_norm(xs, g_new - g, f_eval))
-        g = g_new
-        if diffs[-1] < tol:
-            break
-    else:
-        raise FixedPointError(
-            f"ergodic map did not converge in {max_iters} iterations "
-            f"(last change {diffs[-1]:.3e})")
-
-    # one more sweep reads the per-horizon level off the fixed point
+    source = None if src_vals is None else (lambda t, x: src_vals)
     value = solve_hjb(grid, _MAP_HORIZON, scenario.diffusion, scenario.drift.b,
                       scenario.running_cost, g, source=source, max_slices=3)
     level = value.phi[0] - g
@@ -232,27 +227,159 @@ def frozen_ergodic(scenario: Scenario, mu_frozen=None, tol=1e-9,
         raise FixedPointError(
             f"ergodic level is not flat (residual {flatness:.3e}); refine "
             f"the grid or loosen the tolerance")
-    eta = -float(np.mean(level)) / _MAP_HORIZON
     grad = gradient_second_order(g, grid.dx)
+    return ErgodicSolution(eta=-float(np.mean(level)) / _MAP_HORIZON, xs=xs,
+                           phi_inf=g, grad_inf=grad,
+                           mu_inf=_invariant_density(scenario, grad),
+                           flatness_residual=flatness, iterations=iterations,
+                           contraction_factors=factors,
+                           fnorm_phi=f_norm(xs, g, lambda r: r))
 
-    def beta_inf(x):
-        gg = np.interp(x, xs, grad)
-        return scenario.drift.b(x) + policy(scenario.running_cost, x, gg)
 
-    mu_inf = stationary_density_cc(grid, scenario.diffusion, beta_inf)
+def frozen_ergodic(scenario: Scenario, mu_frozen=None, tol=1e-9,
+                   max_iters=400):
+    """Normalized horizon-map iteration for the frozen ergodic triple.
+
+    mu_frozen is a density on the scenario grid (or None for no
+    interaction).  The map solves the frozen problem over _MAP_HORIZON,
+    recenters at x = 0, and iterates to its fixed point; the ergodic level
+    is read off the residual constant, whose spatial flatness certifies the
+    grid resolution.  Iterate gaps are measured in the Lipschitz seminorm;
+    their ratios are the map's contraction factors.
+    """
+    grid = scenario.grid
+    xs = grid.xs
+    i0 = int(np.argmin(np.abs(xs)))
+    src_vals = _frozen_source(scenario, mu_frozen)
+    source = None if src_vals is None else (lambda t, x: src_vals)
+
+    g = np.zeros_like(xs)
+    diffs = []
+    for it in range(1, max_iters + 1):
+        value = solve_hjb(grid, _MAP_HORIZON, scenario.diffusion,
+                          scenario.drift.b, scenario.running_cost, g,
+                          source=source, max_slices=3)
+        g_new = value.phi[0] - value.phi[0][i0]
+        diffs.append(f_norm(xs, g_new - g, lambda r: r))
+        g = g_new
+        if diffs[-1] < tol:
+            break
+    else:
+        raise FixedPointError(
+            f"ergodic map did not converge in {max_iters} iterations "
+            f"(last change {diffs[-1]:.3e})")
     factors = [diffs[i + 1] / diffs[i] for i in range(len(diffs) - 1)
                if diffs[i] > 1e-13]
-    return ErgodicSolution(eta=eta, xs=xs, phi_inf=g, grad_inf=grad,
-                           mu_inf=mu_inf, flatness_residual=flatness,
-                           iterations=len(diffs),
-                           contraction_factors=factors,
-                           fnorm_phi=f_norm(xs, g, f_eval))
+    return _certify_ergodic(scenario, g, src_vals, tol, len(diffs), factors)
+
+
+def _band_stencils(n, dx, direction=None):
+    """Rows of a five-point difference operator as diagonals (offset -> array).
+
+    Entry [k][i] is the weight of node i + k in row i.  direction None gives
+    gradient_second_order's stencil; otherwise upwind_gradient's rows for
+    that transport direction.
+    """
+    h = 1.0 / (2.0 * dx)
+    c = {k: np.zeros(n) for k in (-2, -1, 0, 1, 2)}
+    c[-1][1:-1], c[1][1:-1] = -h, h
+    c[0][0], c[1][0], c[2][0] = -3.0 * h, 4.0 * h, -h
+    c[0][-1], c[-1][-1], c[-2][-1] = 3.0 * h, -4.0 * h, h
+    if direction is not None:
+        fwd = np.flatnonzero(direction[:-2] > 0.0)
+        bwd = 2 + np.flatnonzero(direction[2:] < 0.0)
+        for rows, w in ((fwd, {0: -3.0, 1: 4.0, 2: -1.0}),
+                        (bwd, {0: 3.0, -1: -4.0, -2: 1.0})):
+            for k in c:
+                c[k][rows] = w.get(k, 0.0) * h
+    return c
+
+
+def _ergodic_newton(scenario: Scenario, src_vals, g, tol):
+    """Newton's method for the value solver's discrete stationary equation.
+
+    Solves -(sigma^2/2) D2 g - H(g) + lam = 0 on interior nodes and
+    -H(g) + lam = 0 on the two boundary rows, with g = 0 at the node
+    nearest x = 0.  H is solve_hjb's explicit Hamiltonian L(w) + (b + w) D g
+    (+ source) with w = policy(D g), and D the stencil solve_hjb uses at g:
+    central, or upwind when the global cell-Peclet switch fires.  A fixed
+    point of the normalized horizon map solves this equation, and lam is
+    the per-unit-time level, so eta = -lam.  By the envelope theorem the
+    Jacobian is -(sigma^2/2) D2 - diag(b + w) D; the unknown lam takes the
+    place of g at the pinned node, whose column becomes a column of ones.
+    Across the upwind switch this is Howard's policy iteration.
+
+    Returns (g, steps); raises FixedPointError after _NEWTON_MAX_STEPS
+    steps without max|dg| < tol and SchemeError if the converged solution
+    breaks solve_hjb's CFL guard.
+    """
+    grid = scenario.grid
+    xs, dx, n = grid.xs, grid.dx, len(grid.xs)
+    i0 = int(np.argmin(np.abs(xs)))
+    cost = scenario.running_cost
+    sig2 = scenario.diffusion.sigma_at(xs) ** 2
+    sig2_min = np.min(sig2)
+    b = np.asarray(scenario.drift.b(xs), dtype=float)
+    # -(sigma^2/2) D2 on interior rows; the boundary rows carry no diffusion
+    half = np.zeros(n)
+    half[1:-1] = 0.5 * sig2[1:-1] / dx ** 2
+    neg_lap = {-1: -half, 0: 2.0 * half, 1: -half}
+    rows = np.arange(n)
+    g = np.asarray(g, dtype=float) - g[i0]
+    for step in range(_NEWTON_MAX_STEPS + 1):
+        p = gradient_second_order(g, dx)
+        a = b + policy(cost, xs, p)
+        a_central_max = np.abs(a).max()
+        direction = None
+        if a_central_max * dx > sig2_min:
+            direction = a
+            p = upwind_gradient(g, dx, direction)
+            a = b + policy(cost, xs, p)
+        # the step solves J dg + lam 1 = rhs, with rhs = -F(g) =
+        # H(g) + (sigma^2/2) D2 g the residual of the equation at lam = 0
+        rhs = cost.L(xs, a - b) + a * p
+        if src_vals is not None:
+            rhs += src_vals
+        rhs[1:-1] += 0.5 * sig2[1:-1] * (g[2:] - 2.0 * g[1:-1] + g[:-2]) \
+            / dx ** 2
+        r_idx, c_idx, vals = [rows], [np.full(n, i0)], [np.ones(n)]
+        for k, coef in _band_stencils(n, dx, direction).items():
+            col = rows + k
+            keep = (col >= 0) & (col < n) & (col != i0)
+            r_idx.append(rows[keep])
+            c_idx.append(col[keep])
+            vals.append((neg_lap.get(k, 0.0) - a * coef)[keep])
+        jac = sparse.csc_matrix((np.concatenate(vals),
+                                 (np.concatenate(r_idx),
+                                  np.concatenate(c_idx))), shape=(n, n))
+        delta = splu(jac).solve(rhs)
+        delta[i0] = 0.0          # that slot held lam
+        g += delta
+        if np.max(np.abs(delta)) < tol:
+            if a_central_max > dx / grid.dt:
+                raise SchemeError("explicit advection violates the CFL guard "
+                                  "on the ergodic solution; reduce dt or "
+                                  "enlarge the box")
+            return g, step
+    raise FixedPointError(
+        f"ergodic Newton did not converge in {_NEWTON_MAX_STEPS} steps "
+        f"(last step {np.max(np.abs(delta)):.3e})")
 
 
 def solve_ergodic_mfg(scenario: Scenario, tol=1e-7, force=False,
                       smallness: Optional[SmallnessReport] = None,
                       inner_tol=1e-10, mu_init=None):
-    """Outer fixed point over frozen measures for the ergodic system."""
+    """Outer fixed point over frozen measures for the ergodic system.
+
+    Each outer sweep freezes the measure, solves the discrete stationary
+    value equation by Newton (warm started from the last sweep's solution)
+    and takes the invariant density of its feedback.  inner_tol bounds the
+    last Newton step of each sweep.  The returned solution is certified by
+    one horizon sweep of the normalized map, whose level must be flat to
+    10 inner_tol; iterations counts the Newton steps of all sweeps, and
+    outer_trace records each sweep's measure change, outer factor and
+    Newton steps.
+    """
     if smallness is None:
         smallness = check_smallness(scenario)
     if not smallness.passes and not force:
@@ -265,31 +392,28 @@ def solve_ergodic_mfg(scenario: Scenario, tol=1e-7, force=False,
         stationary_density_cc(grid, scenario.diffusion, scenario.drift.b)
     trace = []
     prev_change = None
-    sol = None
     low = scenario.regime == "low"
-    tm_arg = None if smallness.tm_bar.degenerate else smallness.tm_bar
-    g_warm = None
-    change = None
+    g = np.zeros_like(xs)
+    steps = 0
     for it in range(1, _MAX_OUTER + 1):
-        # inexact inner solves: early sweeps only need the outer resolution
-        tol_k = inner_tol if change is None \
-            else max(inner_tol, min(1e-8, 1e-2 * change))
-        sol = frozen_ergodic(scenario, mu, tol=tol_k, tm_bar=tm_arg,
-                             g0=g_warm)
-        g_warm = sol.phi_inf
-        change = tv_grid(xs, sol.mu_inf, mu, check=False) if low \
-            else w1_grid(xs, sol.mu_inf, mu, check=False)
-        entry = {"iter": it, "change": change}
+        src_vals = _frozen_source(scenario, mu)
+        g, k = _ergodic_newton(scenario, src_vals, g, inner_tol)
+        steps += k
+        mu_new = _invariant_density(scenario, gradient_second_order(g, grid.dx))
+        change = tv_grid(xs, mu_new, mu, check=False) if low \
+            else w1_grid(xs, mu_new, mu, check=False)
+        entry = {"iter": it, "change": change, "newton_steps": k}
         if prev_change is not None and prev_change > 1e-13:
             entry["factor"] = change / prev_change
         trace.append(entry)
-        mu = sol.mu_inf
+        mu = mu_new
         if change < tol:
             break
         prev_change = change
     else:
         raise FixedPointError(f"ergodic outer loop did not converge "
                               f"in {_MAX_OUTER} sweeps", trace)
+    sol = _certify_ergodic(scenario, g, src_vals, inner_tol, steps, [])
     sol.outer_trace = trace
     sol.fnorm_phi = f_norm(xs, sol.phi_inf, smallness.tm_b.f)
     cap = (4.0 if low else 1.0) * smallness.C_x_psi

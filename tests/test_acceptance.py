@@ -238,7 +238,7 @@ def test_criterion_08_stability(tm_ou):
 
 def test_criterion_09_frozen_ergodic():
     sc = load_scenario("lq", {"grid.dt": 2.5e-4})
-    sol = frozen_ergodic(sc, None, tol=1e-13, max_iters=24, tm_bar=None)
+    sol = frozen_ergodic(sc, None, tol=1e-13, max_iters=24)
     xs = sol.xs
     inner = np.abs(xs) <= 4.0
     var = np.trapezoid(xs ** 2 * sol.mu_inf, xs) \

@@ -138,6 +138,16 @@ def test_coupling_subcommand_small(tmp_path):
     assert csv.splitlines()[0] == "t,mean_f,se_f,bound_f,p_neq,se_p,bound_p"
 
 
+def test_coupling_duplicate_times_exit_2(tmp_path):
+    raw = json.loads(scenario_path("ou").read_text())
+    raw["mc"] = {"n_paths": 200, "dt": 1e-3,
+                 "master_seed": 20240901, "t_grid": [0.5, 0.5]}
+    dup = tmp_path / "ou_dup.json"
+    dup.write_text(json.dumps(raw))
+    assert main(["coupling", "--scenario", str(dup), "--out",
+                 str(tmp_path)]) == 2
+
+
 def test_coupling_thread_determinism(tmp_path):
     # 5000 paths are one chunk, so --threads 2 draws its noise ahead on the
     # spare worker while --threads 1 draws it inline: same bytes out

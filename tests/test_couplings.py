@@ -333,6 +333,16 @@ def test_config_validation():
         simulate_coupling(strict, DIFF, pair_at_distance(1.0))
 
 
+def test_duplicate_output_times_rejected(tm_ou):
+    # one estimate per distinct step would misalign with the time array
+    for t_grid in ((0.5, 0.5), (1.0, 0.5, 1.0)):
+        cfg = CouplingConfig(kind="reflection", dt=1e-2, n_paths=200,
+                             t_grid=t_grid, beta=lambda t, x: -x,
+                             master_seed=5)
+        with pytest.raises(CouplingError, match="same step"):
+            simulate_coupling(cfg, DIFF, pair_at_distance(1.0), tm=tm_ou)
+
+
 def test_drift_gap_requires_increasing_times(tm_ou):
     cfg = CouplingConfig(kind="approx_delta", dt=1e-3, n_paths=200,
                          t_grid=(1.0,), beta=lambda t, x: -x,

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
 
-from mfglab.control import solve_hjb, optimal_flow, stationary_density_cc
+from mfglab import mfg
+from mfglab.control import (SchemeError, optimal_flow, solve_hjb,
+                            stationary_density_cc)
 from mfglab.distances import f_norm, w1_grid
 from mfglab.metrics import DomainError
 from mfglab.mfg import (FixedPointError, frozen_ergodic, frozen_solve,
                         moment_bound, solve_ergodic_mfg, solve_mfg,
                         tau_prime_bounded, turnpike_constants,
                         turnpike_report)
-from mfglab.model import GaussianLaw, check_smallness, load_scenario
+from mfglab.model import (GaussianLaw, Grid1D, Scenario, check_smallness,
+                          linear_drift, load_scenario, mean_interaction,
+                          policy, quadratic_cost, varying_diffusion,
+                          zero_terminal)
 
 
 def shoot_mean_traj(beta, c, m0, T, n=4001):
@@ -51,7 +56,7 @@ def lq_mean_quick():
 
 def test_frozen_ergodic_lq_oracle():
     sc = load_scenario("lq", {"grid.dt": 2.5e-4})
-    sol = frozen_ergodic(sc, None, tol=1e-9, tm_bar=None)
+    sol = frozen_ergodic(sc, None, tol=1e-9)
     xs = sol.xs
     inner = np.abs(xs) <= 4.0
     assert sol.eta == pytest.approx(-1.0, abs=1e-3)
@@ -64,9 +69,66 @@ def test_frozen_ergodic_lq_oracle():
 
 def test_frozen_ergodic_trivial_zero():
     sc = load_scenario("ou")
-    sol = frozen_ergodic(sc, None, tol=1e-10, tm_bar=None)
+    sol = frozen_ergodic(sc, None, tol=1e-10)
     assert abs(sol.eta) < 1e-9
     assert np.max(np.abs(sol.phi_inf)) < 1e-9
+
+
+def _newton_and_map(sc, mu_frozen):
+    """The frozen ergodic problem solved by Newton and by the horizon map."""
+    src = mfg._frozen_source(sc, mu_frozen)
+    g, steps = mfg._ergodic_newton(sc, src, np.zeros_like(sc.grid.xs), 1e-10)
+    newton = mfg._certify_ergodic(sc, g, src, 1e-10, steps, [])
+    horizon_map = frozen_ergodic(sc, mu_frozen, tol=1e-12)
+    assert np.max(np.abs(newton.phi_inf - horizon_map.phi_inf)) <= 1e-9
+    assert abs(newton.eta - horizon_map.eta) <= 1e-12
+    return newton, horizon_map
+
+
+def test_newton_matches_map_double_well():
+    sc = load_scenario("double_well_small")
+    mu_b = stationary_density_cc(sc.grid, sc.diffusion, sc.drift.b)
+    newton, horizon_map = _newton_and_map(sc, mu_b)
+    assert 1 <= newton.iterations < horizon_map.iterations
+
+
+def test_newton_matches_map_varying_diffusion():
+    diff = varying_diffusion(lambda x: np.sqrt(2.0) * (1.0 + 0.2 * np.tanh(x)),
+                             sigma0=0.8, Sigma=1.2,
+                             C_x_sigma=0.2 * np.sqrt(2.0))
+    sc = Scenario(name="ou_varying", drift=linear_drift(1.0), diffusion=diff,
+                  running_cost=quadratic_cost(q=1.0, C_x_L=6.0),
+                  interaction=mean_interaction(0.2),
+                  terminal_cost=zero_terminal(), mu0=GaussianLaw(0.0, 1.0),
+                  T=1.0, regime="high", grid=Grid1D(-6.0, 6.0, 301, 1e-3))
+    newton, _ = _newton_and_map(sc, GaussianLaw(0.5, 1.0).density(sc.grid.xs))
+    assert newton.iterations >= 2
+
+
+def test_newton_matches_map_across_upwind_switch():
+    # dx = 0.25: the feedback drift -2x passes sigma^2 / dx = 8 near the
+    # box edge, so the value solver switches to upwind differences there
+    sc = load_scenario("lq", {"grid.n_x": 41, "grid.dt": 1e-3})
+    newton, _ = _newton_and_map(sc, None)
+    xs = sc.grid.xs
+    a = sc.drift.b(xs) + policy(sc.running_cost, xs, newton.grad_inf)
+    assert np.max(np.abs(a)) * sc.grid.dx > 2.0
+    assert newton.iterations >= 2
+
+
+def test_newton_step_cap_raises(monkeypatch):
+    sc = load_scenario("double_well_small")
+    rep = check_smallness(sc)
+    monkeypatch.setattr(mfg, "_NEWTON_MAX_STEPS", 1)
+    with pytest.raises(FixedPointError, match="Newton did not converge"):
+        solve_ergodic_mfg(sc, smallness=rep)
+
+
+def test_newton_keeps_the_cfl_guard():
+    # dt = 0.05 at dx = 0.25 allows |b + w| <= 5; the solution reaches 10
+    sc = load_scenario("lq", {"grid.n_x": 41, "grid.dt": 0.05})
+    with pytest.raises(SchemeError, match="CFL"):
+        mfg._ergodic_newton(sc, None, np.zeros_like(sc.grid.xs), 1e-10)
 
 
 def test_frozen_solve_no_interaction_reduces(lq_mean_quick):

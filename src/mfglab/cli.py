@@ -8,7 +8,8 @@ residual), ergodic, mfg, turnpike (full pipeline and report), check
 manifest, a machine-readable summary with pass/fail per assertion, CSV
 tables, and a gnuplot script referencing them.  Exit codes: 0 all
 assertions pass, 1 assertion failures, 2 configuration or certification
-errors, 3 numerical failures.
+errors, 3 numerical failures.  Besides --scenario, --out and --seed, each
+subcommand parses only the options it reads (see build_parser).
 """
 
 import argparse
@@ -51,12 +52,8 @@ def write_csv(path, header, columns):
     return path
 
 
-def scenario_hash(path_or_obj):
-    if isinstance(path_or_obj, (str, Path)) and Path(path_or_obj).exists():
-        data = Path(path_or_obj).read_bytes()
-    else:
-        data = repr(path_or_obj).encode()
-    return hashlib.sha256(data).hexdigest()[:16]
+def scenario_hash(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
 
 def resolve_scenario(spec, seed=None, overrides=None):
@@ -198,7 +195,8 @@ def cmd_coupling(sc, path, run, args):
                             lambda n, rng: sc.mu0.sample(n, rng), p=2,
                             T=max(sc.mc.t_grid),
                             n_paths=min(sc.mc.n_paths, 20000),
-                            master_seed=sc.mc.master_seed)
+                            master_seed=sc.mc.master_seed,
+                            n_threads=args.threads)
     run.record("moment_plateau", mom["passes"],
                sup_moment=mom["sup_moment"], tstat=mom["trend_tstat"])
     run.plot_script(["plot 'coupling.csv' using 1:2 with linespoints title "
@@ -261,7 +259,7 @@ def cmd_ergodic(sc, path, run, args):
 def cmd_mfg(sc, path, run, args):
     rep = check_smallness(sc)
     flow, value, trace, _ = solve_mfg(sc, force=args.force, smallness=rep,
-                                      tol=args.tol or 1e-6)
+                                      tol=args.tol)
     write_csv(run.file("mfg_trace.csv"),
               ["iter", "sup_w1_change", "contraction_factor"],
               [[e["iter"] for e in trace],
@@ -286,7 +284,7 @@ def cmd_turnpike(sc, path, run, args):
             f"rerun with --force to iterate anyway")
     sol = solve_ergodic_mfg(sc, force=args.force, smallness=rep)
     flow, value, trace, _ = solve_mfg(sc, force=args.force, smallness=rep,
-                                      tol=args.tol or 1e-6)
+                                      tol=args.tol)
     report = turnpike_report(sc, flow, value, sol, rep)
     d_hess = report.d_hess if report.d_hess is not None \
         else np.full(len(report.times), np.nan)
@@ -351,22 +349,31 @@ def cmd_sweep(args, out_root):
 def build_parser():
     p = argparse.ArgumentParser(prog="mfglab")
     sub = p.add_subparsers(dest="command", required=True)
+    subs = {}
     for name in list(COMMANDS) + ["sweep"]:
-        s = sub.add_parser(name)
+        s = subs[name] = sub.add_parser(name)
         s.add_argument("--scenario", required=True,
                        help="scenario file path or catalog name")
         s.add_argument("--out", default=os.environ.get("MFGLAB_OUT", "runs"))
         s.add_argument("--seed", type=int, default=None)
-        s.add_argument("--threads", type=int, default=1,
-                       help="worker threads of the coupling simulations")
-        s.add_argument("--force", action="store_true",
-                       help="proceed when the strength condition fails")
-        s.add_argument("--tol", type=float, default=None)
-        if name == "sweep":
-            s.add_argument("--param", required=True,
-                           help="dotted config path, e.g. interaction.c")
-            s.add_argument("--values", required=True,
-                           help="comma-separated parameter values")
+    for name in ("ergodic", "mfg", "turnpike"):
+        subs[name].add_argument("--force", action="store_true",
+                                help="proceed when the strength condition "
+                                     "fails")
+    for name in ("mfg", "turnpike"):
+        subs[name].add_argument("--tol", type=float, default=1e-6,
+                                help="Picard stop: sup W1 change per sweep")
+    subs["coupling"].add_argument(
+        "--threads", type=int, default=1,
+        help="worker threads of the coupling and moment simulations")
+    subs["turnpike"].add_argument(
+        "--threads", type=int, default=1,
+        help="no effect (turnpike runs no coupling); kept so that the "
+             "benchmark's command line still parses")
+    subs["sweep"].add_argument("--param", required=True,
+                               help="dotted config path, e.g. interaction.c")
+    subs["sweep"].add_argument("--values", required=True,
+                               help="comma-separated parameter values")
     return p
 
 

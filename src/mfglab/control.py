@@ -536,8 +536,8 @@ def hessian_ledger(value: ValueFunction, scenario: Scenario,
         except MetricError:
             tm_bar = None
 
-    C_x_g = term.C_x_G if term.C_x_G is not None else f_norm(
-        value.xs, g_vals, lambda r: r)
+    C_x_g = (term.C_x_G if term.C_x_G is not None
+             else lip_norm(value.xs, g_vals))
     C_xx_g = term.C_xx_G
     theo = np.empty_like(measured)
     window = np.zeros_like(times, dtype=bool)

@@ -102,6 +102,26 @@ def _chunk_ranges(n_paths, chunk_size):
     return [(s, min(s + chunk_size, n_paths)) for s in starts]
 
 
+def _map_chunks(work, n_chunks, n_threads):
+    """[work(0), ..., work(n_chunks - 1)], on up to n_threads workers.
+
+    The list is in chunk-index order whatever order the chunks finish in,
+    so a reduction over it in list order is the same for any worker count.
+    """
+    if n_threads > 1 and n_chunks > 1:
+        with ThreadPoolExecutor(max_workers=min(n_threads, n_chunks)) as pool:
+            return list(pool.map(work, range(n_chunks)))
+    return [work(i) for i in range(n_chunks)]
+
+
+def _sum_chunks(results):
+    """Elementwise sums of the chunks' result tuples, in chunk-index order."""
+    totals = (0.0,) * len(results[0])
+    for res in results:
+        totals = tuple(t + r for t, r in zip(totals, res))
+    return totals
+
+
 def _fill_step(rng, rows):
     """One step's draws, in stream order: z1, z3, u, then z2 if asked."""
     rng.standard_normal(out=rows[0])
@@ -416,34 +436,18 @@ def simulate_coupling(config: CouplingConfig, diffusion, init_sampler,
                             f"fall on the same step of dt={dt:g}")
 
     ranges = _chunk_ranges(config.n_paths, config.chunk_size)
-    results = [None] * len(ranges)
     # a spare worker per chunk draws its noise ahead; at most n_threads
     # threads (chunk workers plus drawers) run at once
     draw_ahead = config.n_threads >= 2 * len(ranges)
 
     def work(i):
         lo, hi = ranges[i]
-        results[i] = _simulate_chunk(config, diffusion, init_sampler, i,
-                                     hi - lo, f_eval, f2_eval, out_steps,
-                                     draw_ahead)
+        return _simulate_chunk(config, diffusion, init_sampler, i, hi - lo,
+                               f_eval, f2_eval, out_steps, draw_ahead)
 
-    if config.n_threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(
-                max_workers=min(config.n_threads, len(ranges))) as pool:
-            list(pool.map(work, range(len(ranges))))
-    else:
-        for i in range(len(ranges)):
-            work(i)
-
+    sums, acc0, f2_0 = _sum_chunks(
+        _map_chunks(work, len(ranges), config.n_threads))
     n = config.n_paths
-    sums = np.zeros((len(out_steps), 6))
-    acc0 = np.zeros(2)
-    f2_0 = np.zeros(2)
-    for res in results:   # fixed chunk order: identical for any worker count
-        sums += res[0]
-        acc0 += res[1]
-        f2_0 += res[2]
-
     t_arr = np.array(sorted(config.t_grid))
     mean_f = sums[:, 0] / n
     var_f = np.maximum(sums[:, 1] / n - mean_f ** 2, 0.0)
@@ -536,27 +540,29 @@ def check_drift_gap_bounds(config: CouplingConfig, diffusion, init_sampler,
 # moment plateau diagnostic
 
 def moment_diagnostic(beta, diffusion, init_sampler, p, T, dt=1e-3,
-                      n_paths=20_000, master_seed=7):
+                      n_paths=20_000, master_seed=7, n_threads=1):
     """sup_t of the p-th absolute moment plus a no-growth plateau test.
 
     Growth over the last half of the horizon is tested with a paired
     per-path statistic |X_T|^p - |X_{T/2}|^p (paths are independent, unlike
     the time series of the moments themselves); a significantly positive
-    mean at the one-sided 95% level fails the plateau.
+    mean at the one-sided 95% level fails the plateau.  Chunks run on up to
+    n_threads workers, as in simulate_coupling.
     """
     n_steps = int(round(T / dt))
     half_step = n_steps // 2
     out_steps = np.unique(np.concatenate(
         [np.linspace(0, n_steps, _MOMENT_TIMES).astype(int),
          [half_step, n_steps]]))
+    step_of = {int(s): j for j, s in enumerate(out_steps)}
     ranges = _chunk_ranges(n_paths, _CHUNK_SIZE)
-    totals = np.zeros(len(out_steps))
-    d_sum, d_sq = 0.0, 0.0
-    for ci, (lo, hi) in enumerate(ranges):
+
+    def work(ci):
+        lo, hi = ranges[ci]
         rng = np.random.default_rng(np.random.SeedSequence((master_seed, ci)))
         x = np.asarray(init_sampler(hi - lo, rng), dtype=float).copy()
+        totals = np.zeros(len(out_steps))
         half_vals = None
-        step_of = {int(s): j for j, s in enumerate(out_steps)}
         if 0 in step_of:
             totals[step_of[0]] += np.sum(np.abs(x) ** p)
         if diffusion.is_constant:   # one value, broadcast over the paths
@@ -574,8 +580,10 @@ def moment_diagnostic(beta, diffusion, init_sampler, p, T, dt=1e-3,
             if (k + 1) == half_step:
                 half_vals = np.abs(x) ** p
         d = np.abs(x) ** p - half_vals
-        d_sum += float(np.sum(d))
-        d_sq += float(np.sum(d * d))
+        return totals, float(np.sum(d)), float(np.sum(d * d))
+
+    totals, d_sum, d_sq = _sum_chunks(_map_chunks(work, len(ranges),
+                                                  n_threads))
     moments = totals / n_paths
     times = out_steps * dt
     d_mean = d_sum / n_paths

@@ -25,7 +25,7 @@ from .control import (MeasureFlow, SchemeError, ValueFunction,
                       gradient_second_order, optimal_flow,
                       solve_fokker_planck, solve_hjb, stationary_density_cc,
                       upwind_gradient)
-from .distances import f_norm, tv_grid, w1_grid, wf_grid
+from .distances import f_norm, lip_norm, tv_grid, w1_grid, wf_grid
 from .errors import MfglabError
 from .metrics import DomainError, q_kernel
 from .model import (GridDensity, Scenario, SmallnessReport, check_smallness,
@@ -233,7 +233,7 @@ def _certify_ergodic(scenario: Scenario, g, src_vals, tol, iterations,
                            mu_inf=_invariant_density(scenario, grad),
                            flatness_residual=flatness, iterations=iterations,
                            contraction_factors=factors,
-                           fnorm_phi=f_norm(xs, g, lambda r: r))
+                           fnorm_phi=lip_norm(xs, g))
 
 
 def frozen_ergodic(scenario: Scenario, mu_frozen=None, tol=1e-9,
@@ -260,7 +260,7 @@ def frozen_ergodic(scenario: Scenario, mu_frozen=None, tol=1e-9,
                           scenario.drift.b, scenario.running_cost, g,
                           source=source, max_slices=3)
         g_new = value.phi[0] - value.phi[0][i0]
-        diffs.append(f_norm(xs, g_new - g, lambda r: r))
+        diffs.append(lip_norm(xs, g_new - g))
         g = g_new
         if diffs[-1] < tol:
             break
@@ -431,11 +431,8 @@ class TurnpikeConstants:
     C_i: float
     C_f_flow: float
     value_terms: dict
-    kappa_G_lam: float
-    kappa_G_C: float
     M1: Optional[float] = None
     M1_tilde: Optional[float] = None
-    notes: tuple = ()
 
     def flow_bound(self, t, T, W0, regime, tm_bar):
         """Envelope of the measured flow distance from W0 = W_f at t = 0.
@@ -463,7 +460,6 @@ def turnpike_constants(scenario: Scenario, rc: SmallnessReport,
     """Evaluate the explicit envelope constants for the scenario's regime."""
     from .model import _build_extending
     from .profiles import shift_profile
-    notes = []
     tm_b, tm_bar = rc.tm_b, rc.tm_bar
     cost = scenario.running_cost
     rho = cost.rho_uu
@@ -500,8 +496,6 @@ def turnpike_constants(scenario: Scenario, rc: SmallnessReport,
             _, tm_G = _build_extending(kappa_G, sigma0)
         else:
             tm_G = None
-            notes.append("terminal-shifted profile leaves class K: flow "
-                         "constant falls back to the base metric")
     else:
         tm_G = tm_bar
     lam_G = tm_G.lam if tm_G is not None and not tm_G.degenerate else 0.0
@@ -565,8 +559,7 @@ def turnpike_constants(scenario: Scenario, rc: SmallnessReport,
                    / (rho * lam_b)) / C_b)
     return TurnpikeConstants(lam=lam, tau_G=tau_G, C_i=C_i,
                              C_f_flow=C_f_flow, value_terms=value_terms,
-                             kappa_G_lam=lam_G, kappa_G_C=C_G,
-                             M1=M1, M1_tilde=M1_tilde, notes=tuple(notes))
+                             M1=M1, M1_tilde=M1_tilde)
 
 
 def tau_prime_bounded(rc: SmallnessReport, g_sup):
@@ -597,8 +590,6 @@ class TurnpikeReport:
     d_hess: Optional[np.ndarray]
     W0: float
     constants: TurnpikeConstants
-    lam_in: float
-    lam_out: float
     verdicts: dict
 
 
@@ -686,8 +677,7 @@ def turnpike_report(scenario: Scenario, flow: MeasureFlow,
                           bound_flow=bound_flow, bound_value=bound_value,
                           window=window, flow_pass=flow_pass,
                           d_hess=d_hess, W0=W0,
-                          constants=constants, lam_in=lam_in,
-                          lam_out=lam_out, verdicts=verdicts)
+                          constants=constants, verdicts=verdicts)
 
 
 def moment_bound(scenario: Scenario, flow: MeasureFlow,

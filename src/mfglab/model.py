@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._quad import bisect_root
+from ._quad import BracketError, bisect_root
 from .errors import MfglabError
 from .metrics import DomainError, MetricError, TwistedMetric, build_twisted_metric
 from .profiles import (MonotonicityProfile, constant_profile,
@@ -46,9 +46,6 @@ class GridDensity:
     def mean(self):
         return float(np.trapezoid(self.x * self.p, self.x))
 
-    def moment(self, k=1):
-        return float(np.trapezoid(np.abs(self.x) ** k * self.p, self.x))
-
     def convolve(self, kernel, at):
         at = np.asarray(at, dtype=float)
         vals = kernel(at[:, None] - self.x[None, :])
@@ -61,9 +58,6 @@ class ParticleCloud:
 
     def mean(self):
         return float(np.mean(self.points))
-
-    def moment(self, k=1):
-        return float(np.mean(np.abs(self.points) ** k))
 
     def convolve(self, kernel, at):
         at = np.asarray(at, dtype=float)
@@ -80,7 +74,6 @@ class DiffusionSpec:
     sigma0: float
     Sigma: float
     C_x_sigma: float = 0.0
-    C_xx_sigma: Optional[float] = None
     dim: int = 1
     is_constant: bool = False
 
@@ -122,14 +115,13 @@ def constant_diffusion(sigma, dim=1):
     sig = float(sigma)
     s0 = sig / np.sqrt(2.0)
     return DiffusionSpec(fn=lambda x: np.full_like(np.asarray(x, dtype=float), sig),
-                         sigma0=s0, Sigma=s0, C_x_sigma=0.0, C_xx_sigma=0.0,
+                         sigma0=s0, Sigma=s0, C_x_sigma=0.0,
                          dim=dim, is_constant=True)
 
 
-def varying_diffusion(fn, sigma0, Sigma, C_x_sigma, C_xx_sigma=None):
+def varying_diffusion(fn, sigma0, Sigma, C_x_sigma):
     return DiffusionSpec(fn=fn, sigma0=float(sigma0), Sigma=float(Sigma),
-                         C_x_sigma=float(C_x_sigma), C_xx_sigma=C_xx_sigma,
-                         dim=1, is_constant=False)
+                         C_x_sigma=float(C_x_sigma), dim=1, is_constant=False)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +394,6 @@ class SmallnessReport:
     lambda_star: float
     outer_factor: float             # certified contraction of the ergodic map
     relaxed: Optional[dict] = None
-    notes: tuple = ()
 
 
 def _build_extending(profile, sigma_check, tries=3):
@@ -412,7 +403,7 @@ def _build_extending(profile, sigma_check, tries=3):
         try:
             return prof, build_twisted_metric(prof, sigma_check)
         except MetricError as exc:
-            if "not bracketed" not in str(exc):
+            if not isinstance(exc.__cause__, BracketError):
                 raise
             from .profiles import make_profile
             prof = make_profile(prof.fn, r_min=prof.r_min,
@@ -457,7 +448,6 @@ def check_smallness(scenario: Scenario) -> SmallnessReport:
     inter, cost = scenario.interaction, scenario.running_cost
     rho, sigma0 = cost.rho_uu, scenario.diffusion.sigma0
     regime = scenario.regime
-    notes = []
 
     _, tm_b = _build_extending(scenario.drift.profile, sigma0)
     lam_b, C_b = tm_b.lam, tm_b.C
@@ -477,7 +467,6 @@ def check_smallness(scenario: Scenario) -> SmallnessReport:
     kappa_bar = shift_profile(scenario.drift.profile, C_u_shift, "grad",
                               name=f"{scenario.drift.profile.name}-bar")
     if not kappa_bar.certification.is_K:
-        notes.append("shifted profile leaves class K: automatic failure")
         eps = lambda lam: np.inf
         from dataclasses import replace as _replace
         dead = _replace(tm_b, lam=0.0, C=0.0, Z=np.inf, degenerate=True)
@@ -486,7 +475,7 @@ def check_smallness(scenario: Scenario) -> SmallnessReport:
                                C_x_psi=C_x_psi, C_u_shift=C_u_shift,
                                kappa_bar=kappa_bar, tm_b=tm_b, tm_bar=dead,
                                epsilon=eps, lambda_star=0.0,
-                               outer_factor=np.inf, notes=tuple(notes))
+                               outer_factor=np.inf)
     kappa_bar, tm_bar = _build_extending(kappa_bar, sigma0)
     lam_bar, C_bar = tm_bar.lam, tm_bar.C
 
@@ -523,12 +512,6 @@ def check_smallness(scenario: Scenario) -> SmallnessReport:
     else:
         lambda_star = bisect_root(lambda lam: eps(lam) - 1.0, 0.0,
                                   lam_bar * (1.0 - 1e-12), tol=1e-13)
-        if regime == "high":
-            closed = np.sqrt(max(lam_bar ** 2
-                                 - inter.C_xmu_F / (rho * C_bar ** 2), 0.0))
-            if abs(closed - lambda_star) > 1e-6 * max(1.0, closed):
-                notes.append(f"root/closed-form mismatch: {lambda_star:g} "
-                             f"vs {closed:g}")
 
     relaxed = None
     if (regime == "high" and scenario.C_xx_psi is not None
@@ -555,8 +538,7 @@ def check_smallness(scenario: Scenario) -> SmallnessReport:
                            C_x_psi=C_x_psi, C_u_shift=C_u_shift,
                            kappa_bar=kappa_bar, tm_b=tm_b, tm_bar=tm_bar,
                            epsilon=eps, lambda_star=lambda_star,
-                           outer_factor=outer, relaxed=relaxed,
-                           notes=tuple(notes))
+                           outer_factor=outer, relaxed=relaxed)
 
 
 # ---------------------------------------------------------------------------

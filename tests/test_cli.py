@@ -1,10 +1,11 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from mfglab import _quad, control, couplings, metrics, mfg, model, profiles
-from mfglab.cli import EXIT_CODES, main
+from mfglab.cli import EXIT_CODES, build_parser, main
 from mfglab.errors import MfglabError
 from mfglab.model import scenario_path
 
@@ -49,11 +50,10 @@ def quick_mean_scenario(tmp_path_factory):
     return out
 
 
-def test_turnpike_thread_determinism(quick_mean_scenario, tmp_path):
-    for threads, tag in ((1, "a"), (8, "b")):
+def test_turnpike_repeat_determinism(quick_mean_scenario, tmp_path):
+    for tag in ("a", "b"):
         code = main(["turnpike", "--scenario", str(quick_mean_scenario),
-                     "--out", str(tmp_path / tag), "--threads", str(threads),
-                     "--seed", "42"])
+                     "--out", str(tmp_path / tag), "--seed", "42"])
         assert code == 0
     csv_a = (tmp_path / "a" / "lq_mean-turnpike" / "turnpike.csv").read_bytes()
     csv_b = (tmp_path / "b" / "lq_mean-turnpike" / "turnpike.csv").read_bytes()
@@ -111,6 +111,33 @@ def test_numerical_failure_exit_3(tmp_path):
     coarse.write_text(json.dumps(raw))
     assert main(["control", "--scenario", str(coarse), "--out",
                  str(tmp_path)]) == 3
+
+
+def test_each_subcommand_parses_only_what_it_reads():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    common = {"--scenario", "--out", "--seed"}
+    expected = {"rates": set(), "check": set(), "control": set(),
+                "coupling": {"--threads"}, "ergodic": {"--force"},
+                "mfg": {"--force", "--tol"},
+                "turnpike": {"--force", "--tol", "--threads"},
+                "sweep": {"--param", "--values"}}
+    got = {name: {o for a in p._actions for o in a.option_strings
+                  if o.startswith("--") and o != "--help"} - common
+           for name, p in sub.choices.items()}
+    assert got == expected
+    assert build_parser().parse_args(
+        ["mfg", "--scenario", "ou", "--tol", "0"]).tol == 0.0
+    for argv in (["check", "--force"], ["rates", "--tol", "1e-3"],
+                 ["ergodic", "--tol", "1e-3"], ["sweep", "--threads", "2",
+                                                "--param", "interaction.c",
+                                                "--values", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv[:1] + ["--scenario", "ou"] + argv[1:])
+        assert exc.value.code == 2, argv
+    # the benchmark's turnpike command line passes --threads 1
+    assert build_parser().parse_args(
+        ["turnpike", "--scenario", "ou", "--threads", "1"]).threads == 1
 
 
 def test_every_error_has_a_kind():

@@ -224,6 +224,20 @@ def test_moment_zero_start():
     assert out["moments"][0] == 0.0
 
 
+def test_moment_diagnostic_across_threads(short_switch_interval):
+    # 33,000 paths are 3 chunks; every worker count returns the same values
+    law = GaussianLaw(0.5, 1.0)
+    runs = [moment_diagnostic(lambda t, x: -x, DIFF,
+                              lambda n, rng: law.sample(n, rng), p=2, T=0.2,
+                              dt=1e-2, n_paths=33_000, master_seed=6,
+                              n_threads=n_threads)
+            for n_threads in (1, 2, 8)]
+    for out in runs[1:]:
+        assert out.keys() == runs[0].keys()
+        for key, value in runs[0].items():
+            np.testing.assert_array_equal(out[key], value)
+
+
 def test_time_regularity_diagnostics():
     rng = np.random.default_rng(0)
     stationary = [rng.standard_normal(5000)] * 6

@@ -9,6 +9,7 @@ from mfglab.metrics import (build_twisted_metric, build_quadratic_metric,
                             check_differential_inequality, q_kernel,
                             lemma_kernel_integrals, save_metric, load_metric,
                             MetricError, DomainError)
+from mfglab.model import _build_extending
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +186,9 @@ def test_r1_out_of_range_error():
     prof = constant_profile(0.02, r_max=5.0)  # needs R1 ~ 14 > r_max
     with pytest.raises(MetricError):
         build_twisted_metric(prof, 1.0)
+    # the model's builder recognises the unbracketed R1 and grows the grid
+    grown, tm = _build_extending(prof, 1.0)
+    assert grown.r_max > prof.r_max and tm.R1 <= grown.r_max
 
 
 def test_degenerate_collapse():

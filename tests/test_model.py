@@ -120,10 +120,16 @@ def test_smallness_no_interaction_full_margin():
 
 
 def test_smallness_lq_mean_passes():
-    rep = check_smallness(load_scenario("lq_mean"))
+    sc = load_scenario("lq_mean")
+    rep = check_smallness(sc)
     assert rep.passes
     assert rep.margin > 2.0
     assert 0.0 < rep.lambda_star < rep.tm_bar.lam
+    # the high-regime root is sqrt(lam_bar^2 - C_xmu_F / (rho C_bar^2))
+    lam_bar, C_bar = rep.tm_bar.lam, rep.tm_bar.C
+    closed = np.sqrt(lam_bar ** 2 - sc.interaction.C_xmu_F
+                     / (sc.running_cost.rho_uu * C_bar ** 2))
+    assert abs(rep.lambda_star - closed) <= 1e-6 * max(1.0, closed)
     lam = 0.9 * rep.lambda_star
     assert rep.epsilon(lam) < 1.0
     # root property and monotonicity of the contraction factor curve

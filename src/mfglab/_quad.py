@@ -6,20 +6,10 @@ tolerance, and all threshold radii / certified rates are bisection roots of
 monotone functions.
 """
 
-from .errors import MfglabError
+from .errors import NumericalError
 
 # absolute tolerance of the metric, profile and kernel-integral quadratures
 QUAD_TOL = 1e-10
-
-
-class QuadratureError(MfglabError, RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-    kind = "numerical"
-
-
-class BracketError(MfglabError, RuntimeError):
-    """Root bracket could not be established on the allowed interval."""
-    kind = "numerical"
 
 
 def adaptive_simpson(fn, a, b, tol=QUAD_TOL, max_depth=48, rel=0.0):
@@ -49,7 +39,7 @@ def _simpson_rec(fn, a, b, fa, fm, fb, whole, tol, rel, depth):
             or (b - a) < 1e-14 * (1.0 + abs(a))):
         return left + right + err / 15.0
     if depth <= 0:
-        raise QuadratureError(
+        raise NumericalError(
             f"adaptive Simpson stuck on [{a:g}, {b:g}], err={err:g}, tol={tol:g}")
     half = 0.5 * tol
     return (_simpson_rec(fn, a, m, fa, flm, fm, left, half, rel, depth - 1)
@@ -62,7 +52,7 @@ def bisect_root(fn, lo, hi, tol=1e-12, max_iter=200):
     if flo > 0.0:
         return lo
     if fhi < 0.0:
-        raise BracketError(f"no sign change on [{lo:g}, {hi:g}]")
+        raise NumericalError(f"no sign change on [{lo:g}, {hi:g}]")
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         if fn(mid) >= 0.0:

@@ -23,11 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import MfglabError
-from .model import (ConfigError, GaussianLaw, check_smallness,
-                    load_scenario, probe_assumptions, scenario_path)
-from .metrics import (DomainError, check_differential_inequality, q_kernel,
-                      save_metric)
+from .errors import CertificationError, ConfigError, MfglabError
+from .model import (GaussianLaw, check_smallness, load_scenario,
+                    probe_assumptions, scenario_path)
+from .metrics import check_differential_inequality, q_kernel, save_metric
 from .couplings import CouplingConfig, moment_diagnostic, simulate_coupling
 from .control import hessian_ledger, lipschitz_ledger, pontryagin_residual
 from .mfg import (REPORT_RATE_FRACTION, frozen_ergodic, solve_ergodic_mfg,
@@ -144,13 +143,13 @@ def _metric_pipeline(sc, run):
     return rep
 
 
-def cmd_rates(sc, path, run, args):
+def cmd_rates(sc, run, args):
     _metric_pipeline(sc, run)
     run.plot_script(["plot 'metric_base.csv' using 1:2 with lines "
                      "title 'f', '' using 1:3 with lines title 'fprime'"])
 
 
-def cmd_check(sc, path, run, args):
+def cmd_check(sc, run, args):
     probes = run.file("probes.json")
     report = probe_assumptions(sc, n=1000, seed=sc.mc.master_seed)
     with open(probes, "w") as fh:
@@ -169,7 +168,7 @@ def cmd_check(sc, path, run, args):
                       if isinstance(v, (int, float, bool))})
 
 
-def cmd_coupling(sc, path, run, args):
+def cmd_coupling(sc, run, args):
     rep = check_smallness(sc)
     tm = rep.tm_b
     diff = sc.diffusion
@@ -203,7 +202,7 @@ def cmd_coupling(sc, path, run, args):
                      "'measured', '' using 1:4 with lines title 'bound'"])
 
 
-def cmd_control(sc, path, run, args):
+def cmd_control(sc, run, args):
     from .mfg import frozen_solve
     xs = sc.grid.xs
     g = sc.terminal_cost.G(GaussianLaw(0.0, 1.0), xs) \
@@ -240,7 +239,7 @@ def cmd_control(sc, path, run, args):
     run.plot_script(["plot 'flow.csv' using 2:3 with lines title 'density'"])
 
 
-def cmd_ergodic(sc, path, run, args):
+def cmd_ergodic(sc, run, args):
     rep = check_smallness(sc)
     if sc.interaction.kind == "none":
         sol = frozen_ergodic(sc, None)
@@ -256,7 +255,7 @@ def cmd_ergodic(sc, path, run, args):
                      "title 'invariant density'"])
 
 
-def cmd_mfg(sc, path, run, args):
+def cmd_mfg(sc, run, args):
     rep = check_smallness(sc)
     flow, value, trace, _ = solve_mfg(sc, force=args.force, smallness=rep,
                                       tol=args.tol)
@@ -276,10 +275,10 @@ def cmd_mfg(sc, path, run, args):
                      "title 'sup W1 change'"])
 
 
-def cmd_turnpike(sc, path, run, args):
+def cmd_turnpike(sc, run, args):
     rep = check_smallness(sc)
     if rep.lambda_star <= 0.0 and not args.force:
-        raise DomainError(
+        raise CertificationError(
             f"strength margin {rep.margin:.3g} < 1 leaves no certified rate; "
             f"rerun with --force to iterate anyway")
     sol = solve_ergodic_mfg(sc, force=args.force, smallness=rep)
@@ -387,7 +386,7 @@ def main(argv=None):
         sc, path = resolve_scenario(args.scenario, args.seed)
         run = RunDir(args.out, f"{sc.name}-{args.command}")
         run.seed = sc.mc.master_seed
-        COMMANDS[args.command](sc, path, run, args)
+        COMMANDS[args.command](sc, run, args)
         return run.finish(path, ["mfglab"] + argv)
     except MfglabError as exc:
         print(f"error ({exc.kind}): {exc}", file=sys.stderr)

@@ -15,18 +15,9 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .distances import f_norm, lip_norm, tv_grid, wf_grid
-from .errors import MfglabError
-from .metrics import (MetricError, TwistedMetric, q_integral, q_kernel,
-                      q_weighted_integral)
+from .errors import CertificationError, NumericalError
+from .metrics import TwistedMetric, q_integral, q_kernel, q_weighted_integral
 from .model import DiffusionSpec, Grid1D, RunningCostSpec, Scenario, policy
-
-
-class SchemeError(MfglabError, RuntimeError):
-    kind = "numerical"
-
-
-class BlowUpError(MfglabError, RuntimeError):
-    kind = "numerical"
 
 
 # ---------------------------------------------------------------------------
@@ -34,8 +25,8 @@ class BlowUpError(MfglabError, RuntimeError):
 
 def _check_info(info, routine):
     if info != 0:
-        raise SchemeError(f"tridiagonal {routine} failed (LAPACK info "
-                          f"{info}: singular or invalid system)")
+        raise NumericalError(f"tridiagonal {routine} failed (LAPACK info "
+                             f"{info}: singular or invalid system)")
 
 
 def tridiag_solve(sub, diag, sup, rhs):
@@ -181,7 +172,7 @@ def solve_hjb(grid: Grid1D, T, diffusion: DiffusionSpec, drift_b: Callable,
     dt = grid.dt
     n_steps = int(round(T / dt))
     if abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
-        raise SchemeError(f"horizon {T:g} is not a multiple of dt={dt:g}")
+        raise NumericalError(f"horizon {T:g} is not a multiple of dt={dt:g}")
     sig2 = diffusion.sigma_at(xs) ** 2
     b = np.asarray(drift_b(xs), dtype=float)
 
@@ -200,7 +191,7 @@ def solve_hjb(grid: Grid1D, T, diffusion: DiffusionSpec, drift_b: Callable,
 
     phi = np.asarray(terminal_values, dtype=float).copy()
     if phi.shape != xs.shape:
-        raise SchemeError("terminal slice does not match the grid")
+        raise NumericalError("terminal slice does not match the grid")
     peclet_lim = dx / dt
     for k in range(n_steps, -1, -1):
         t = k * dt
@@ -209,8 +200,9 @@ def solve_hjb(grid: Grid1D, T, diffusion: DiffusionSpec, drift_b: Callable,
         a = b + w
         a_max = np.abs(a).max()
         if a_max > peclet_lim:
-            raise SchemeError(f"explicit advection violates the CFL guard "
-                              f"at t={t:g}; reduce dt or enlarge the box")
+            raise NumericalError(f"explicit advection violates the CFL "
+                                 f"guard at t={t:g}; reduce dt or enlarge "
+                                 f"the box")
         if a_max * dx > sig2_min:
             g = upwind_gradient(phi, dx, a)
             w = policy(cost, xs, g)
@@ -228,10 +220,10 @@ def solve_hjb(grid: Grid1D, T, diffusion: DiffusionSpec, drift_b: Callable,
         phi = solver.solve(rhs)
         phi_max = np.abs(phi).max()       # NaN or inf if any entry is
         if not np.isfinite(phi_max):
-            raise BlowUpError(f"value function blew up at t={t - dt:g}")
+            raise NumericalError(f"value function blew up at t={t - dt:g}")
         if phi_max > 1e12:
-            raise BlowUpError(f"value function overflow guard tripped at "
-                              f"t={t - dt:g}")
+            raise NumericalError(f"value function overflow guard tripped "
+                                 f"at t={t - dt:g}")
 
     return ValueFunction(times=store * dt, xs=xs, phi=phi_out, grad=grad_out)
 
@@ -293,7 +285,7 @@ def solve_fokker_planck(grid: Grid1D, T, diffusion: DiffusionSpec,
     dt = grid.dt
     n_steps = int(round(T / dt))
     if abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
-        raise SchemeError(f"horizon {T:g} is not a multiple of dt={dt:g}")
+        raise NumericalError(f"horizon {T:g} is not a multiple of dt={dt:g}")
     x_mid = 0.5 * (xs[1:] + xs[:-1])
     D_nodes = 0.5 * diffusion.sigma_at(xs) ** 2
     D_mid = 0.5 * (D_nodes[1:] + D_nodes[:-1])
@@ -326,18 +318,18 @@ def solve_fokker_planck(grid: Grid1D, T, diffusion: DiffusionSpec,
             m = tridiag_solve(*im_k, _apply_tridiag(*ex_k, m))
             total = m.sum()
             if not np.isfinite(total):        # NaN or inf if any entry is
-                raise BlowUpError(f"density blew up at t={(k + 1) * dt:g}")
+                raise NumericalError(f"density blew up at t={(k + 1) * dt:g}")
             m_min = m.min()
             if m_min < -1e-9:
-                raise SchemeError(f"density negativity {m_min:.2e} at "
-                                  f"t={(k + 1) * dt:g}")
+                raise NumericalError(f"density negativity {m_min:.2e} at "
+                                     f"t={(k + 1) * dt:g}")
             if m_min < 0.0:
                 np.maximum(m, 0.0, out=m)
                 total = m.sum()
             mass = float(total * dx)
             if abs(mass - 1.0) > _MASS_TOL:
-                raise SchemeError(f"mass drift {mass - 1.0:.2e} exceeds "
-                                  f"{_MASS_TOL:g}")
+                raise NumericalError(f"mass drift {mass - 1.0:.2e} exceeds "
+                                     f"{_MASS_TOL:g}")
             if (k + 1) in store_set:
                 out[store_set[k + 1]] = m
     return MeasureFlow(times=store * dt, xs=xs, densities=out)
@@ -516,7 +508,7 @@ def hessian_ledger(value: ValueFunction, scenario: Scenario,
         led.extras["note"] = "empirical only: non-constant diffusion"
         return led
     if drift.C_x_b is None or term.C_xx_G is None:
-        raise SchemeError("hessian ledger needs declared C_x_b and C_xx_G")
+        raise NumericalError("hessian ledger needs declared C_x_b and C_xx_G")
 
     C_x_ell = (cost.C_x_L or 0.0) + inter.C_x_F
     g_vals = value.phi[-1]
@@ -533,7 +525,7 @@ def hessian_ledger(value: ValueFunction, scenario: Scenario,
     else:
         try:
             _, tm_bar = _build_extending(kappa_bar, scenario.diffusion.sigma0)
-        except MetricError:
+        except CertificationError:
             tm_bar = None
 
     C_x_g = (term.C_x_G if term.C_x_G is not None

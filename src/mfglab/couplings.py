@@ -18,12 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .distances import tv_grid, w1_grid, w1_samples
-from .errors import MfglabError
-from .metrics import DomainError, q_kernel
-
-
-class CouplingError(MfglabError, ValueError):
-    kind = "config"
+from .errors import ConfigError, NumericalError
+from .metrics import q_kernel
 
 
 KINDS = ("synchronous", "reflection", "controlled_reflection", "interpolated",
@@ -53,15 +49,15 @@ class CouplingConfig:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise CouplingError(f"unknown coupling kind {self.kind!r}")
+            raise ConfigError(f"unknown coupling kind {self.kind!r}")
         if self.kind == "approx_delta":
             if self.beta_hat is None:
-                raise CouplingError("approx_delta needs a second drift")
+                raise ConfigError("approx_delta needs a second drift")
             eps = self.coalesce_eps
             if eps is not None and eps > self.delta / 2.0:
-                raise CouplingError("coalesce_eps must be <= delta / 2")
+                raise ConfigError("coalesce_eps must be <= delta / 2")
         if self.kind == "controlled_reflection" and self.control is None:
-            raise CouplingError("controlled_reflection needs a control field")
+            raise ConfigError("controlled_reflection needs a control field")
 
     def eps_for(self, sigma0):
         if self.coalesce_eps is not None:
@@ -74,7 +70,7 @@ class CouplingConfig:
         if not self.bridge_gluing and self.kind in _GLUE_KINDS:
             eps = self.eps_for(sigma0)
             if self.dt > eps ** 2 / (8.0 * sigma0 ** 2) * (1.0 + 1e-12):
-                raise CouplingError(
+                raise ConfigError(
                     "dt exceeds coalesce_eps^2 / (8 sigma0^2); enable bridge "
                     "gluing or refine the step")
 
@@ -377,7 +373,7 @@ def _simulate_chunk(config, diffusion, init_sampler, chunk_index, n_chunk,
                     np.copyto(d, 0.0, where=glued)
 
             if max(x.max(), -x.min()) > _OVERFLOW_GUARD:
-                raise CouplingError(
+                raise NumericalError(
                     "path overflow: reduce dt or check the drift")
 
             s = k + 1
@@ -430,10 +426,10 @@ def simulate_coupling(config: CouplingConfig, diffusion, init_sampler,
     out_steps = sorted({int(round(t / dt)) for t in config.t_grid})
     for t in config.t_grid:
         if abs(round(t / dt) * dt - t) > 1e-9:
-            raise CouplingError(f"output time {t:g} not on the dt grid")
+            raise ConfigError(f"output time {t:g} not on the dt grid")
     if len(out_steps) != len(config.t_grid):
-        raise CouplingError(f"two output times of {tuple(config.t_grid)} "
-                            f"fall on the same step of dt={dt:g}")
+        raise ConfigError(f"two output times of {tuple(config.t_grid)} "
+                          f"fall on the same step of dt={dt:g}")
 
     ranges = _chunk_ranges(config.n_paths, config.chunk_size)
     # a spare worker per chunk draws its noise ahead; at most n_threads
@@ -486,11 +482,11 @@ def check_drift_gap_bounds(config: CouplingConfig, diffusion, init_sampler,
     when the caller supplies the exact value.
     """
     if config.kind != "approx_delta":
-        raise CouplingError("drift-gap bounds need the approx_delta coupling")
+        raise ConfigError("drift-gap bounds need the approx_delta coupling")
     run = config
     if t0 is not None:
         if max(config.t_grid) <= t0:
-            raise DomainError("coalescence bound needs t > t0")
+            raise ConfigError("coalescence bound needs t > t0")
         # the bound reads the coupling at t0 off the same run, as one more
         # output time: recording a time leaves the paths unchanged
         t0_out = max(t0, config.dt)
@@ -550,6 +546,8 @@ def moment_diagnostic(beta, diffusion, init_sampler, p, T, dt=1e-3,
     n_threads workers, as in simulate_coupling.
     """
     n_steps = int(round(T / dt))
+    if n_steps < 2:     # the paired statistic reads the step n_steps // 2
+        raise ConfigError("moment plateau needs at least two steps")
     half_step = n_steps // 2
     out_steps = np.unique(np.concatenate(
         [np.linspace(0, n_steps, _MOMENT_TIMES).astype(int),
@@ -605,7 +603,7 @@ def time_regularity(times, marginals, kind="particles", xs=None,
     """Empirical Hoelder constants of t -> mu_t in W1 (and TV for grids)."""
     times = np.asarray(times, dtype=float)
     if len(times) < 2:
-        raise DomainError("time regularity needs at least two time points")
+        raise ConfigError("time regularity needs at least two time points")
     w1_best = 0.0
     tv_best = 0.0
     for lag in lags:

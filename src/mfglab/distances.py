@@ -13,17 +13,17 @@ measures become atoms.
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .metrics import DomainError
+from .errors import ConfigError
 
 
 def _check_density(x, p, tol=1e-8):
     mass = np.atleast_1d(np.trapezoid(p, x, axis=-1))
     off = np.abs(mass - 1.0) > tol
     if np.any(off):
-        raise DomainError(f"density mass {mass[off][0]:.3e} is not 1 "
+        raise ConfigError(f"density mass {mass[off][0]:.3e} is not 1 "
                           f"within {tol:g}")
     if np.any(p < -1e-12):
-        raise DomainError("density has negative values")
+        raise ConfigError("density has negative values")
 
 
 # rows of a density stack per pass of w1_grid: bounds its temporaries by
@@ -120,7 +120,7 @@ def wf_atoms(xa, xb, f):
     """
     xa, xb = np.asarray(xa, dtype=float), np.asarray(xb, dtype=float)
     if len(xa) != len(xb):
-        raise DomainError("atom clouds must have equal size")
+        raise ConfigError("atom clouds must have equal size")
     cost = f(np.abs(xa[:, None] - xb[None, :]))
     rows, cols = linear_sum_assignment(cost)
     return float(np.mean(cost[rows, cols]))

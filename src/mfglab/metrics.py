@@ -31,20 +31,12 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.interpolate import PchipInterpolator
 
-from ._quad import QUAD_TOL, adaptive_simpson, bisect_root, BracketError
-from .errors import MfglabError
+from ._quad import QUAD_TOL, adaptive_simpson, bisect_root
+from .errors import CertificationError, ConfigError, NumericalError
 from .profiles import MonotonicityProfile
 
 _LOG_DEGENERATE = -600.0  # below this log(phi) the rate constants underflow
 _TABLE_NODES = 1200       # coarse radius nodes of a metric table
-
-
-class MetricError(MfglabError, ValueError):
-    kind = "certification"
-
-
-class DomainError(MfglabError, ValueError):
-    kind = "certification"
 
 
 @dataclass(frozen=True)
@@ -93,7 +85,7 @@ class TwistedMetric:
 
     def phi(self, r):
         if self._I is None:
-            raise MetricError("metric loaded from tables has no analytic pieces")
+            raise CertificationError("metric loaded from tables has no analytic pieces")
         r_arr = np.minimum(np.asarray(r, dtype=float), self.r_table[-1])
         return np.exp(-self._I(r_arr) / (2.0 * self.sigma_check ** 2))
 
@@ -104,7 +96,7 @@ class TwistedMetric:
     def fsecond(self, r):
         """f'' from the analytic pieces f'' = phi' g + phi g'."""
         if self._I is None or self._Phi is None:
-            raise MetricError("metric loaded from tables has no analytic pieces")
+            raise CertificationError("metric loaded from tables has no analytic pieces")
         r_arr = np.asarray(r, dtype=float)
         scalar = np.ndim(r) == 0
         r_arr = np.atleast_1d(r_arr)
@@ -158,7 +150,7 @@ def build_twisted_metric(profile: MonotonicityProfile,
     """Construct the twisted metric of a certified class-K profile."""
     cert = profile.certification
     if cert is not None and not cert.is_K:
-        raise MetricError(f"profile {profile.name!r} is not certified class K")
+        raise CertificationError(f"profile {profile.name!r} is not certified class K")
     sigma_check = float(sigma_check)
     sig2 = 2.0 * sigma_check ** 2
     r_max = profile.r_max
@@ -168,8 +160,8 @@ def build_twisted_metric(profile: MonotonicityProfile,
         R1 = bisect_root(
             lambda R: profile.tail_inf(R) * R * (R - R0) - 4.0 * sigma_check ** 2,
             R0, r_max, tol=1e-13)
-    except BracketError as exc:
-        raise MetricError(
+    except NumericalError as exc:
+        raise CertificationError(
             f"radius grid too small: R1 not bracketed below r_max={r_max:g}") from exc
 
     nodes = _table_nodes(profile, R0, R1)
@@ -200,7 +192,7 @@ def build_twisted_metric(profile: MonotonicityProfile,
     Z_audit = adaptive_simpson(lambda s: float(ratio_interp(s)), 0.0, R1,
                                tol=QUAD_TOL * max(1.0, Z))
     if abs(Z_audit - Z) > 1e-6 * max(1.0, Z):
-        raise MetricError(f"quadrature disagreement on Z: {Z:g} vs {Z_audit:g}")
+        raise CertificationError(f"quadrature disagreement on Z: {Z:g} vs {Z_audit:g}")
 
     lam = sigma_check ** 2 / Z
     # phi is constant past the exact R0 (negative part vanishes there), so
@@ -224,14 +216,14 @@ def _check_invariants(tm: TwistedMetric, tol=1e-7):
     r = tm.r_table[1:]
     f, fp = tm.f_table[1:], tm.fprime_table[1:]
     if np.any(f > r * (1.0 + tol) + tol) or np.any(f < tm.C * r * (1.0 - tol) - tol):
-        raise MetricError("sandwich C r <= f <= r violated on the table")
+        raise CertificationError("sandwich C r <= f <= r violated on the table")
     if np.any(fp > 1.0 + tol) or np.any(fp < tm.C * (1.0 - tol)):
-        raise MetricError("derivative sandwich C <= f' <= 1 violated")
+        raise CertificationError("derivative sandwich C <= f' <= 1 violated")
     if np.any(np.diff(tm.fprime_table) > tol):
-        raise MetricError("f' is not non-increasing: f not concave")
+        raise CertificationError("f' is not non-increasing: f not concave")
     tail = tm.r_table > tm.R1 * (1.0 + 1e-9)
     if np.any(np.abs(tm.fprime_table[tail] - tm.C) > tol * (1.0 + tm.C)):
-        raise MetricError("affine tail slope differs from C")
+        raise CertificationError("affine tail slope differs from C")
 
 
 def check_differential_inequality(tm: TwistedMetric, radius_grid):
@@ -260,7 +252,7 @@ def q_kernel(C, lam, sigma_check, t):
     """
     tt = np.asarray(t, dtype=float)
     if np.any(tt <= 0.0):
-        raise DomainError("q kernel needs t > 0")
+        raise ConfigError("q kernel needs t > 0")
     denom = C * sigma_check
     if denom <= 0.0:
         out = np.full_like(tt, np.inf)
@@ -285,9 +277,9 @@ def lemma_kernel_integrals(C, lam_bar, sigma0, lam, t, T, mode="forward"):
     root singularity at s = t is removed by the substitution s = t + v^2.
     """
     if lam >= lam_bar:
-        raise DomainError("need lam < lam_bar")
+        raise ConfigError("need lam < lam_bar")
     if T < t:
-        raise DomainError("need t <= T")
+        raise ConfigError("need t <= T")
     if T == t:
         quadrature = 0.0
     else:
@@ -325,7 +317,7 @@ def lemma_kernel_integrals(C, lam_bar, sigma0, lam, t, T, mode="forward"):
         bound = (np.exp(-lam * (T - t)) * np.exp(lam / (2.0 * lam_bar)) * base
                  * (1.0 / np.sqrt(lam_bar) + np.sqrt(lam_bar) / (lam_bar - lam)))
     else:
-        raise DomainError(f"unknown mode {mode!r}")
+        raise ConfigError(f"unknown mode {mode!r}")
     return {"quadrature": quadrature, "bound": bound, "mode": mode}
 
 
@@ -414,16 +406,16 @@ def build_quadratic_metric(tm_half: TwistedMetric, sigma0, kappa_plus,
     bisection on the displayed pointwise inequality over the metric table.
     """
     if kappa_plus <= 0.0:
-        raise MetricError("kappa_plus must be positive")
+        raise CertificationError("kappa_plus must be positive")
     if R1_choice < 1.0:
-        raise MetricError("R1_choice must be at least 1")
+        raise CertificationError("R1_choice must be at least 1")
     prof = tm_half.profile
     check = prof.sample_grid()
     check = check[check >= R1_choice]
     if check.size and np.min(prof(check)) < kappa_plus - 1e-12:
-        raise MetricError("profile falls below kappa_plus beyond R1_choice")
+        raise CertificationError("profile falls below kappa_plus beyond R1_choice")
     if abs(tm_half.sigma_check - sigma0 / np.sqrt(2.0)) > 1e-12 * (1.0 + sigma0):
-        raise MetricError("base metric must be built at sigma0 / sqrt(2)")
+        raise CertificationError("base metric must be built at sigma0 / sqrt(2)")
 
     a_bar = tm_half.lam * tm_half.C * R1_choice / (24.0 * (1.0 + sigma0 ** 2))
     qtm = QuadraticTwistedMetric(base=tm_half, a_bar=a_bar,
@@ -439,7 +431,7 @@ def build_quadratic_metric(tm_half: TwistedMetric, sigma0, kappa_plus,
         return np.all(lhs <= -lam2 * f2 + 1e-14)
 
     if not holds(1e-12):
-        raise MetricError("no positive lambda2 certifiable on this table")
+        raise CertificationError("no positive lambda2 certifiable on this table")
     lo, hi = 1e-12, 10.0 * tm_half.lam
     while holds(hi):
         hi *= 2.0

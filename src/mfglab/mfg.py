@@ -21,13 +21,12 @@ from scipy import sparse
 from scipy import stats as sstats
 from scipy.sparse.linalg import splu
 
-from .control import (MeasureFlow, SchemeError, ValueFunction,
-                      gradient_second_order, optimal_flow,
-                      solve_fokker_planck, solve_hjb, stationary_density_cc,
-                      upwind_gradient)
+from .control import (MeasureFlow, ValueFunction, gradient_second_order,
+                      optimal_flow, solve_fokker_planck, solve_hjb,
+                      stationary_density_cc, upwind_gradient)
 from .distances import f_norm, lip_norm, tv_grid, w1_grid, wf_grid
-from .errors import MfglabError
-from .metrics import DomainError, q_kernel
+from .errors import CertificationError, FixedPointError, NumericalError
+from .metrics import q_kernel
 from .model import (GridDensity, Scenario, SmallnessReport, check_smallness,
                     policy)
 
@@ -40,16 +39,6 @@ _MAP_HORIZON = 1.0          # horizon of the normalized ergodic map
 _MAX_OUTER = 60             # ergodic outer sweeps
 _NEWTON_MAX_STEPS = 30      # Newton steps of one ergodic inner solve
 _REPORT_TIMES = 81          # report times along the finite-horizon flow
-
-
-class FixedPointError(MfglabError, RuntimeError):
-    """A fixed point that is uncertified or not reached; .trace holds the
-    per-sweep record of the iteration, if one ran."""
-    kind = "certification"
-
-    def __init__(self, message, trace=()):
-        super().__init__(message)
-        self.trace = list(trace)
 
 
 @dataclass
@@ -310,8 +299,8 @@ def _ergodic_newton(scenario: Scenario, src_vals, g, tol):
     Across the upwind switch this is Howard's policy iteration.
 
     Returns (g, steps); raises FixedPointError after _NEWTON_MAX_STEPS
-    steps without max|dg| < tol and SchemeError if the converged solution
-    breaks solve_hjb's CFL guard.
+    steps without max|dg| < tol and NumericalError if the converged
+    solution breaks solve_hjb's CFL guard.
     """
     grid = scenario.grid
     xs, dx, n = grid.xs, grid.dx, len(grid.xs)
@@ -357,9 +346,9 @@ def _ergodic_newton(scenario: Scenario, src_vals, g, tol):
         g += delta
         if np.max(np.abs(delta)) < tol:
             if a_central_max > dx / grid.dt:
-                raise SchemeError("explicit advection violates the CFL guard "
-                                  "on the ergodic solution; reduce dt or "
-                                  "enlarge the box")
+                raise NumericalError("explicit advection violates the CFL "
+                                     "guard on the ergodic solution; reduce "
+                                     "dt or enlarge the box")
             return g, step
     raise FixedPointError(
         f"ergodic Newton did not converge in {_NEWTON_MAX_STEPS} steps "
@@ -466,12 +455,13 @@ def turnpike_constants(scenario: Scenario, rc: SmallnessReport,
     sigma0 = scenario.diffusion.sigma0
     regime = scenario.regime
     if rc.lambda_star <= 0.0:
-        raise DomainError("no certified rate: epsilon(lam) >= 1 everywhere")
+        raise CertificationError("no certified rate: epsilon(lam) >= 1 "
+                                 "everywhere")
     lam = 0.5 * tm_bar.lam if regime == "low" \
         else REPORT_RATE_FRACTION * rc.lambda_star
     eps = rc.epsilon(lam)
     if eps >= 1.0:
-        raise DomainError(f"epsilon({lam:g}) = {eps:g} >= 1")
+        raise CertificationError(f"epsilon({lam:g}) = {eps:g} >= 1")
     C_i = 1.0 / (1.0 - eps)
     xs = scenario.grid.xs
     C_x_psi = rc.C_x_psi

@@ -16,23 +16,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._quad import BracketError, bisect_root
-from .errors import MfglabError
-from .metrics import DomainError, MetricError, TwistedMetric, build_twisted_metric
+from ._quad import bisect_root
+from .errors import CertificationError, ConfigError, NumericalError
+from .metrics import TwistedMetric, build_twisted_metric
 from .profiles import (MonotonicityProfile, constant_profile,
                        double_well_profile, shift_profile)
-
-
-class EllipticityError(MfglabError, ValueError):
-    kind = "config"
-
-
-class ConvexityError(MfglabError, RuntimeError):
-    kind = "numerical"
-
-
-class ConfigError(MfglabError, ValueError):
-    kind = "config"
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +72,7 @@ class DiffusionSpec:
         s = self.sigma_at(x)
         val = s * s - self.sigma0 ** 2
         if np.any(val < -1e-12):
-            raise EllipticityError("sigma^2 - sigma0^2 negative: ellipticity violated")
+            raise ConfigError("sigma^2 - sigma0^2 negative: ellipticity violated")
         return np.sqrt(np.maximum(val, 0.0))
 
     def sigma_bar_at(self, x):
@@ -106,7 +94,7 @@ def sigma_bar(diffusion: DiffusionSpec, x_or_matrix):
     a = m @ m.T - diffusion.sigma0 ** 2 * np.eye(m.shape[0])
     w, v = np.linalg.eigh(a)
     if np.any(w < -1e-10 * max(1.0, np.max(np.abs(w)))):
-        raise EllipticityError("sigma sigma^T - sigma0^2 I is not PSD")
+        raise ConfigError("sigma sigma^T - sigma0^2 I is not PSD")
     return (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
 
 
@@ -199,12 +187,12 @@ def policy(cost: RunningCostSpec, x, p, tol=1e-10, max_iter=50):
         grad = cost.dLu(x, u) + p
         hess = cost.d2Luu(x, u)
         if np.any(hess < 0.5 * cost.rho_uu):
-            raise ConvexityError("control curvature fell below rho_uu / 2")
+            raise NumericalError("control curvature fell below rho_uu / 2")
         step = grad / hess
         u = u - step
         if np.max(np.abs(step)) < tol:
             return u
-    raise ConvexityError("policy Newton did not converge in 50 iterations")
+    raise NumericalError("policy Newton did not converge in 50 iterations")
 
 
 def hamiltonian(drift: DriftSpec, cost: RunningCostSpec, x, p, extra=0.0):
@@ -306,6 +294,12 @@ class Grid1D:
     n_x: int
     dt: float
 
+    def __post_init__(self):
+        if self.n_x < 3:    # the gradient stencils read three nodes
+            raise ConfigError(f"grid needs n_x >= 3, got {self.n_x}")
+        if not self.dt > 0.0:
+            raise ConfigError(f"grid needs dt > 0, got {self.dt!r}")
+
     @property
     def xs(self):
         return np.linspace(self.x_min, self.x_max, self.n_x)
@@ -329,6 +323,10 @@ class GaussianLaw:
     mean: float
     var: float
 
+    def __post_init__(self):
+        if not self.var > 0.0:
+            raise ConfigError(f"Gaussian law needs var > 0, got {self.var!r}")
+
     def density(self, x):
         return np.exp(-(x - self.mean) ** 2 / (2.0 * self.var)) \
             / np.sqrt(2.0 * np.pi * self.var)
@@ -343,6 +341,15 @@ class MCConfig:
     dt: float = 1e-3
     master_seed: int = 20240901
     t_grid: tuple = (1.0, 2.0, 4.0)
+
+    def __post_init__(self):
+        if self.n_paths < 1:
+            raise ConfigError(f"mc needs n_paths >= 1, got {self.n_paths}")
+        if not self.dt > 0.0:
+            raise ConfigError(f"mc needs dt > 0, got {self.dt!r}")
+        if not (self.t_grid and max(self.t_grid) > 0.0):
+            raise ConfigError(f"mc needs a t_grid with a positive time, got "
+                              f"{self.t_grid!r}")
 
 
 @dataclass(frozen=True)
@@ -362,6 +369,8 @@ class Scenario:
     C_xx_psi: Optional[float] = None
 
     def __post_init__(self):
+        if not self.T > 0.0:
+            raise ConfigError(f"horizon must be positive, got {self.T!r}")
         required = {"high": ("C_x_F", "C_xmu_F"),
                     "mild": ("C_x_F", "C_mu_F"),
                     "low": ("C_F", "C_mu_TV_F")}
@@ -402,14 +411,14 @@ def _build_extending(profile, sigma_check, tries=3):
     for _ in range(tries):
         try:
             return prof, build_twisted_metric(prof, sigma_check)
-        except MetricError as exc:
-            if not isinstance(exc.__cause__, BracketError):
+        except CertificationError as exc:
+            if not isinstance(exc.__cause__, NumericalError):
                 raise
             from .profiles import make_profile
             prof = make_profile(prof.fn, r_min=prof.r_min,
                                 r_max=prof.r_max * 4.0, name=prof.name)
-    raise MetricError(f"R1 not bracketed for {profile.name!r} even after "
-                      f"extending the radius grid")
+    raise CertificationError(f"R1 not bracketed for {profile.name!r} even "
+                             f"after extending the radius grid")
 
 
 def epsilon_curve(regime, interaction, rho_uu, sigma0, tm_bar):
@@ -419,7 +428,7 @@ def epsilon_curve(regime, interaction, rho_uu, sigma0, tm_bar):
 
         def eps(lam):
             if not 0.0 <= lam < lam_bar:
-                raise DomainError("epsilon needs 0 <= lam < lam_bar")
+                raise ConfigError("epsilon needs 0 <= lam < lam_bar")
             return amp / (lam_bar ** 2 - lam ** 2)
     elif regime == "mild":
         amp = 2.0 * interaction.C_mu_F * np.sqrt(np.e) \
@@ -427,7 +436,7 @@ def epsilon_curve(regime, interaction, rho_uu, sigma0, tm_bar):
 
         def eps(lam):
             if not 0.0 <= lam < lam_bar:
-                raise DomainError("epsilon needs 0 <= lam < lam_bar")
+                raise ConfigError("epsilon needs 0 <= lam < lam_bar")
             return amp * (np.sqrt(lam_bar) / (lam_bar ** 2 - lam ** 2)
                           + 1.0 / (np.sqrt(lam_bar) * (lam_bar - lam)))
     elif regime == "low":

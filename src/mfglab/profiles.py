@@ -13,11 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._quad import QUAD_TOL, adaptive_simpson
-from .errors import MfglabError
-
-
-class ProfileError(MfglabError, ValueError):
-    kind = "config"
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -49,7 +45,7 @@ class MonotonicityProfile:
         r_arr = np.asarray(r, dtype=float)
         out = np.asarray(self.fn(r_arr), dtype=float)
         if not np.all(np.isfinite(out)):
-            raise ProfileError(f"profile {self.name!r} non-finite at some radii")
+            raise ConfigError(f"profile {self.name!r} non-finite at some radii")
         return out if np.ndim(r) else float(out)
 
     def sample_grid(self, n=2048):
@@ -78,14 +74,14 @@ def _certify(fn, r_min, r_max):
         s = max(s, 1e-14 * r_max)
         v = float(fn(np.asarray([s]))[0])
         if not np.isfinite(v):
-            raise ProfileError("profile evaluates to a non-finite value")
+            raise ConfigError("profile evaluates to a non-finite value")
         return s * max(-v, 0.0)
 
     integral = adaptive_simpson(integrand, 0.0, min(1.0, r_max), tol=QUAD_TOL)
     tail = np.linspace(r_max / 4.0, r_max, 512)
     vals = np.asarray(fn(tail), dtype=float)
     if not np.all(np.isfinite(vals)):
-        raise ProfileError("profile evaluates to a non-finite value on the tail")
+        raise ConfigError("profile evaluates to a non-finite value on the tail")
     floor = float(np.min(vals))
     return KReport(integral=integral, floor=floor,
                    is_K=bool(np.isfinite(integral) and floor > 0.0))
@@ -143,7 +139,7 @@ def profile_of_drift(drift, diffusion, radius_grid, pair_sampler=None,
     dim = getattr(diffusion, "dim", 1)
     radius_grid = np.asarray(radius_grid, dtype=float)
     if radius_grid.size == 0:
-        raise ProfileError("empty radius grid")
+        raise ConfigError("empty radius grid")
 
     if dim == 1 and getattr(diffusion, "is_constant", False) and pair_sampler is None:
         xs = np.linspace(box[0], box[1], n_scan)
@@ -176,7 +172,7 @@ def profile_of_drift(drift, diffusion, radius_grid, pair_sampler=None,
                 if key not in sampled:
                     x, xh = pair_sampler(ri, n_pairs)
                     if len(x) == 0:
-                        raise ProfileError("pair sampler returned no pairs")
+                        raise ConfigError("pair sampler returned no pairs")
                     bx, bxh = np.asarray(drift(x)), np.asarray(drift(xh))
                     d = x - xh
                     val = -np.sum((bx - bxh) * d, axis=1) / ri ** 2
@@ -206,7 +202,7 @@ def shift_profile(profile: MonotonicityProfile, c_u, mode="grad",
     """
     c_u = float(c_u)
     if c_u < 0.0:
-        raise ProfileError("shift constant must be nonnegative")
+        raise ConfigError("shift constant must be nonnegative")
     base = profile.fn
     if mode == "grad":
         def fn(r):
@@ -218,7 +214,7 @@ def shift_profile(profile: MonotonicityProfile, c_u, mode="grad",
             return (np.asarray(base(r_arr), dtype=float)
                     - 2.0 * np.minimum(c_u / r_arr, c_u))
     else:
-        raise ProfileError(f"unknown shift mode {mode!r}")
+        raise ConfigError(f"unknown shift mode {mode!r}")
     if c_u == 0.0:
         fn = base
     return make_profile(fn, r_min=profile.r_min, r_max=profile.r_max,

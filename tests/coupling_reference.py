@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from mfglab.couplings import (_GLUE_KINDS, _OVERFLOW_GUARD, CouplingError,
-                              _record)
+from mfglab.couplings import _GLUE_KINDS, _OVERFLOW_GUARD, _record
+from mfglab.errors import NumericalError
 
 
 def _smoothstep(u):
@@ -148,7 +148,7 @@ def reference_chunk(config, diffusion, init_sampler, chunk_index, n_chunk,
             d = d + drift_d * dt + nd * sqdt
 
         if np.max(np.abs(x)) > _OVERFLOW_GUARD:
-            raise CouplingError("path overflow: reduce dt or check the drift")
+            raise NumericalError("path overflow: reduce dt or check the drift")
 
         s = k + 1
         if s in step_of:

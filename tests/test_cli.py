@@ -4,9 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from mfglab import _quad, control, couplings, metrics, mfg, model, profiles
+from mfglab import errors
 from mfglab.cli import EXIT_CODES, build_parser, main
-from mfglab.errors import MfglabError
 from mfglab.model import scenario_path
 
 
@@ -29,6 +28,31 @@ def test_malformed_scenario_exit_2(tmp_path):
     assert code == 2
     assert main(["check", "--scenario", "no_such_catalog",
                  "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command, dotted, value", [
+    ("coupling", "mc.n_paths", 0),
+    ("coupling", "mc.t_grid", []),
+    ("coupling", "mc.dt", 0),
+    ("control", "grid.n_x", 2),
+    ("control", "grid.dt", 0),
+    ("mfg", "horizon", -1),
+    ("check", "mu0.var", 0),
+    ("coupling", "mc.t_grid", [0.001]),   # a one-step moment plateau
+], ids=str)
+def test_malformed_value_exit_2(tmp_path, capsys, command, dotted, value):
+    raw = json.loads(scenario_path("ou").read_text())
+    head, _, leaf = dotted.partition(".")
+    if leaf:
+        raw[head][leaf] = value
+    else:
+        raw[head] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert main([command, "--scenario", str(bad), "--out",
+                 str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (config): ") and err.count("\n") == 1, err
 
 
 def test_rates_outputs(tmp_path):
@@ -104,7 +128,7 @@ def test_sweep_bad_param_path(tmp_path):
 
 def test_numerical_failure_exit_3(tmp_path):
     # dt = 0.01 puts the explicit advection of the value solve past its CFL
-    # guard (|b| dt / dx = 3 at the box edge): a SchemeError, exit 3
+    # guard (|b| dt / dx = 3 at the box edge): a NumericalError, exit 3
     raw = json.loads(scenario_path("ou").read_text())
     raw["grid"]["dt"] = 0.01
     coarse = tmp_path / "coarse.json"
@@ -141,14 +165,17 @@ def test_each_subcommand_parses_only_what_it_reads():
 
 
 def test_every_error_has_a_kind():
-    classes = [_quad.QuadratureError, _quad.BracketError,
-               control.SchemeError, control.BlowUpError,
-               couplings.CouplingError, metrics.MetricError,
-               metrics.DomainError, mfg.FixedPointError,
-               model.EllipticityError, model.ConvexityError,
-               model.ConfigError, profiles.ProfileError]
-    for cls in classes:
-        assert issubclass(cls, MfglabError) and cls.kind in EXIT_CODES, cls
+    # every module of the package is imported by now: a class defined
+    # anywhere would show up in this walk
+    found, todo = set(), [errors.MfglabError]
+    while todo:
+        subs = todo.pop().__subclasses__()
+        found.update(subs)
+        todo.extend(subs)
+    assert found == {errors.ConfigError, errors.CertificationError,
+                     errors.NumericalError, errors.FixedPointError}
+    for cls in found:
+        assert cls.kind in EXIT_CODES, cls
         assert issubclass(cls, (ValueError, RuntimeError)), cls
 
 

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from mfglab.control import (BlowUpError, BoundLedger, MeasureFlow,
-                            SchemeError, hessian_ledger, lipschitz_ledger,
-                            optimal_flow, pontryagin_residual,
-                            solve_fokker_planck, solve_hjb, stability_ledger,
+from mfglab.control import (hessian_ledger, lipschitz_ledger, optimal_flow,
+                            pontryagin_residual, solve_fokker_planck,
+                            solve_hjb, stability_ledger,
                             stationary_density_cc)
+from mfglab.errors import NumericalError
 from mfglab.metrics import build_twisted_metric
 from mfglab.model import (GaussianLaw, Grid1D, Scenario, constant_diffusion,
                           linear_drift, load_scenario, no_interaction,
@@ -77,7 +77,7 @@ def test_hjb_rejects_incommensurate_horizon():
     grid = Grid1D(-6.0, 6.0, 241, 1e-3)
     diff = constant_diffusion(np.sqrt(2.0))
     cost = quadratic_cost(rho_uu=1.0, C_x_L=0.0)
-    with pytest.raises(SchemeError):
+    with pytest.raises(NumericalError, match="not a multiple of dt"):
         solve_hjb(grid, 1.0 + 1e-4 * 0.5, diff, lambda x: -x, cost,
                   np.zeros(241))
 
@@ -87,11 +87,11 @@ def test_hjb_guards_report_the_step_time():
     cost = quadratic_cost(rho_uu=1.0, C_x_L=0.0)
     # |b| dt / dx = 5 at the box edge: past the explicit advection guard
     coarse = Grid1D(-5.0, 5.0, 101, 0.1)
-    with pytest.raises(SchemeError, match=r"CFL guard at t=1\b"):
+    with pytest.raises(NumericalError, match=r"CFL guard at t=1\b"):
         solve_hjb(coarse, 1.0, diff, lambda x: -x, cost, np.zeros(101))
     # flat terminal values of 1e13 trip the overflow guard on the first step
     grid = Grid1D(-6.0, 6.0, 241, 1e-3)
-    with pytest.raises(BlowUpError, match=r"tripped at t=0\.999\b"):
+    with pytest.raises(NumericalError, match=r"tripped at t=0\.999\b"):
         solve_hjb(grid, 1.0, diff, lambda x: -x, cost, np.full(241, 1e13))
 
 

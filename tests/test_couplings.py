@@ -7,11 +7,12 @@ import pytest
 
 from coupling_reference import reference_chunk
 from mfglab import couplings
-from mfglab.couplings import (KINDS, CouplingConfig, CouplingError,
-                              check_drift_gap_bounds, moment_diagnostic,
-                              simulate_coupling, time_regularity)
-from mfglab.metrics import DomainError, build_twisted_metric, \
-    build_quadratic_metric, q_kernel
+from mfglab.couplings import (KINDS, CouplingConfig, check_drift_gap_bounds,
+                              moment_diagnostic, simulate_coupling,
+                              time_regularity)
+from mfglab.errors import ConfigError, NumericalError
+from mfglab.metrics import build_twisted_metric, build_quadratic_metric, \
+    q_kernel
 from mfglab.model import constant_diffusion, varying_diffusion, GaussianLaw
 from mfglab.profiles import constant_profile
 
@@ -249,7 +250,7 @@ def test_time_regularity_diagnostics():
                  * rng.standard_normal(4000) for t in times]
     out2 = time_regularity(times, marginals)
     assert 0.0 < out2["w1_holder"] < 3.0
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match="at least two time points"):
         time_regularity(np.array([0.0]), [np.zeros(5)])
 
 
@@ -322,28 +323,28 @@ def test_draw_ahead_leaves_no_thread(tm_ou):
     assert np.array_equal(stats.mean_f, one.mean_f)
     blow_up = replace(cfg, dt=1e-3, t_grid=(1.0,),
                       beta=lambda t, x: 50.0 * x)
-    with pytest.raises(CouplingError, match="overflow"):
+    with pytest.raises(NumericalError, match="overflow"):
         simulate_coupling(blow_up, DIFF, pair_at_distance(1.0))
     assert threading.active_count() == before
 
 
 def test_config_validation():
-    with pytest.raises(CouplingError):
+    with pytest.raises(ConfigError, match="coalesce_eps must be"):
         CouplingConfig(kind="approx_delta", dt=1e-3, n_paths=10,
                        t_grid=(1.0,), beta=lambda t, x: -x,
                        beta_hat=lambda t, x: -x, delta=1e-3,
                        coalesce_eps=1e-2)
-    with pytest.raises(CouplingError):
+    with pytest.raises(ConfigError, match="unknown coupling kind"):
         CouplingConfig(kind="mystery", dt=1e-3, n_paths=10, t_grid=(1.0,),
                        beta=lambda t, x: -x)
     cfg = CouplingConfig(kind="reflection", dt=1e-3, n_paths=10,
                          t_grid=(0.0005,), beta=lambda t, x: -x)
-    with pytest.raises(CouplingError):
+    with pytest.raises(ConfigError, match="not on the dt grid"):
         simulate_coupling(cfg, DIFF, pair_at_distance(1.0))
     strict = CouplingConfig(kind="reflection", dt=1e-3, n_paths=10,
                             t_grid=(1.0,), beta=lambda t, x: -x,
                             bridge_gluing=False, coalesce_eps=1e-6)
-    with pytest.raises(CouplingError):
+    with pytest.raises(ConfigError, match="dt exceeds coalesce_eps"):
         simulate_coupling(strict, DIFF, pair_at_distance(1.0))
 
 
@@ -353,7 +354,7 @@ def test_duplicate_output_times_rejected(tm_ou):
         cfg = CouplingConfig(kind="reflection", dt=1e-2, n_paths=200,
                              t_grid=t_grid, beta=lambda t, x: -x,
                              master_seed=5)
-        with pytest.raises(CouplingError, match="same step"):
+        with pytest.raises(ConfigError, match="same step"):
             simulate_coupling(cfg, DIFF, pair_at_distance(1.0), tm=tm_ou)
 
 
@@ -362,6 +363,6 @@ def test_drift_gap_requires_increasing_times(tm_ou):
                          t_grid=(1.0,), beta=lambda t, x: -x,
                          beta_hat=lambda t, x: -x + 0.1, delta=1e-2,
                          master_seed=1)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match="needs t > t0"):
         check_drift_gap_bounds(cfg, DIFF, pair_at_distance(1.0), tm_ou,
                                0.1, t0=1.0)

@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 from mfglab.distances import (w1_grid, w1_samples, tv_grid, wf_grid, wf_atoms,
                               quantile_atoms, f_norm, lip_norm)
-from mfglab.metrics import DomainError, build_twisted_metric
+from mfglab.errors import ConfigError
+from mfglab.metrics import build_twisted_metric
 from mfglab.profiles import constant_profile
 from transport_reference import transport_lp
 
@@ -41,7 +42,7 @@ def test_w1_stacked_equals_per_row(grid):
     assert stacked.shape == (len(means),)
     np.testing.assert_array_equal(
         stacked, [w1_grid(grid, p[i], q[i]) for i in range(len(means))])
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match="is not 1"):
         w1_grid(grid, p, np.concatenate([q[:-1], 2.0 * q[-1:]]))
 
 
@@ -69,9 +70,9 @@ def test_tv_basic(grid):
 
 def test_unnormalized_rejected(grid):
     p = gauss(grid, 0.0, 1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match="density mass"):
         w1_grid(grid, p, 2.0 * p)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match="density mass"):
         tv_grid(grid, 2.0 * p, p)
 
 

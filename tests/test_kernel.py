@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mfglab.control import (_FP_BLOCK, SchemeError, TridiagLU, ValueFunction,
+from mfglab.control import (_FP_BLOCK, TridiagLU, ValueFunction,
                             optimal_flow, solve_fokker_planck, tridiag_solve)
+from mfglab.errors import NumericalError
 from mfglab.model import (Grid1D, constant_diffusion, load_scenario, policy,
                           varying_diffusion)
 
@@ -43,11 +44,11 @@ def test_tridiag_matches_dense_solve(n, seed, scale):
 def test_tridiag_singular_raises():
     # rows 0 and 1 coincide: elimination meets an exactly zero pivot
     sub, diag, sup = np.array([1.0, 0.0]), np.ones(3), np.array([1.0, 0.0])
-    with pytest.raises(SchemeError, match="dgtsv"):
+    with pytest.raises(NumericalError, match="dgtsv"):
         tridiag_solve(sub.copy(), diag.copy(), sup.copy(), np.ones(3))
-    with pytest.raises(SchemeError, match="dgttrf"):
+    with pytest.raises(NumericalError, match="dgttrf"):
         TridiagLU(sub, diag, sup)
-    with pytest.raises(SchemeError):
+    with pytest.raises(NumericalError, match="dgtsv failed"):
         tridiag_solve(np.zeros(3), np.zeros(4), np.zeros(3), np.ones(4))
 
 

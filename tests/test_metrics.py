@@ -5,10 +5,10 @@ import pytest
 
 from mfglab.profiles import (constant_profile, double_well_profile,
                              make_profile, shift_profile)
+from mfglab.errors import CertificationError, ConfigError, NumericalError
 from mfglab.metrics import (build_twisted_metric, build_quadratic_metric,
                             check_differential_inequality, q_kernel,
-                            lemma_kernel_integrals, save_metric, load_metric,
-                            MetricError, DomainError)
+                            lemma_kernel_integrals, save_metric, load_metric)
 from mfglab.model import _build_extending
 
 
@@ -119,7 +119,7 @@ def test_q_kernel_values_and_continuity():
     # short-time divergence like t^(-1/2)
     assert q_kernel(0.5, 1.0, 1.0, 1e-8) == pytest.approx(
         q_kernel(0.5, 1.0, 1.0, 4e-8) * 2.0, rel=1e-12)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match="t > 0"):
         q_kernel(0.5, 1.0, 1.0, 0.0)
     tt = np.array([0.1, 0.5, 2.0])
     single = [q_kernel(0.5, 1.0, 1.0, t) for t in tt]
@@ -153,7 +153,7 @@ def test_kernel_integral_edge_cases():
     assert out["quadrature"] == 0.0 <= out["bound"]
     tiny = lemma_kernel_integrals(0.5, 1.0, 1.0, 1e-12, 0.0, 10.0)
     assert np.isfinite(tiny["bound"])
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match="lam < lam_bar"):
         lemma_kernel_integrals(0.5, 1.0, 1.0, 1.5, 0.0, 10.0)
 
 
@@ -175,20 +175,26 @@ def test_quadratic_metric_constant_one():
 def test_quadratic_metric_validation():
     prof = constant_profile(1.0, r_max=20.0)
     tm_half = build_twisted_metric(prof, 1.0 / np.sqrt(2.0))
-    with pytest.raises(MetricError):
+    with pytest.raises(CertificationError, match="below kappa_plus"):
         build_quadratic_metric(tm_half, 1.0, kappa_plus=2.0, R1_choice=1.0)
     tm_wrong = build_twisted_metric(prof, 1.0)
-    with pytest.raises(MetricError):
+    with pytest.raises(CertificationError, match="built at sigma0"):
         build_quadratic_metric(tm_wrong, 1.0, kappa_plus=1.0, R1_choice=1.0)
 
 
 def test_r1_out_of_range_error():
     prof = constant_profile(0.02, r_max=5.0)  # needs R1 ~ 14 > r_max
-    with pytest.raises(MetricError):
+    with pytest.raises(CertificationError, match="R1 not bracketed") as info:
         build_twisted_metric(prof, 1.0)
+    assert isinstance(info.value.__cause__, NumericalError)
     # the model's builder recognises the unbracketed R1 and grows the grid
     grown, tm = _build_extending(prof, 1.0)
     assert grown.r_max > prof.r_max and tm.R1 <= grown.r_max
+    # and re-raises, ungrown, a certification error with no bracket cause
+    with pytest.raises(CertificationError,
+                       match="not certified class K") as info:
+        _build_extending(constant_profile(-1.0, r_max=5.0), 1.0)
+    assert info.value.__cause__ is None
 
 
 def test_degenerate_collapse():

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from mfglab import mfg
-from mfglab.control import (SchemeError, optimal_flow, solve_hjb,
-                            stationary_density_cc)
+from mfglab.control import optimal_flow, solve_hjb, stationary_density_cc
 from mfglab.distances import f_norm, w1_grid
-from mfglab.metrics import DomainError
-from mfglab.mfg import (FixedPointError, frozen_ergodic, frozen_solve,
-                        moment_bound, solve_ergodic_mfg, solve_mfg,
-                        tau_prime_bounded, turnpike_constants,
-                        turnpike_report)
+from mfglab.errors import CertificationError, FixedPointError, NumericalError
+from mfglab.mfg import (frozen_ergodic, frozen_solve, moment_bound,
+                        solve_ergodic_mfg, solve_mfg, tau_prime_bounded,
+                        turnpike_constants, turnpike_report)
 from mfglab.model import (GaussianLaw, Grid1D, Scenario, check_smallness,
                           linear_drift, load_scenario, mean_interaction,
                           policy, quadratic_cost, varying_diffusion,
@@ -127,7 +125,7 @@ def test_newton_step_cap_raises(monkeypatch):
 def test_newton_keeps_the_cfl_guard():
     # dt = 0.05 at dx = 0.25 allows |b + w| <= 5; the solution reaches 10
     sc = load_scenario("lq", {"grid.n_x": 41, "grid.dt": 0.05})
-    with pytest.raises(SchemeError, match="CFL"):
+    with pytest.raises(NumericalError, match="CFL"):
         mfg._ergodic_newton(sc, None, np.zeros_like(sc.grid.xs), 1e-10)
 
 
@@ -281,7 +279,7 @@ def test_turnpike_constants_require_rate():
     sc = load_scenario("double_well")
     rep = check_smallness(sc)
     xs = sc.grid.xs
-    with pytest.raises(DomainError):
+    with pytest.raises(CertificationError, match="no certified rate"):
         turnpike_constants(sc, rep, np.zeros_like(xs), np.zeros_like(xs))
 
 

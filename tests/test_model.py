@@ -4,13 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from mfglab.model import (CATALOG_DIR, ConfigError, EllipticityError,
-                          GaussianLaw, GridDensity, ParticleCloud, Grid1D,
-                          Scenario, check_smallness, constant_diffusion,
-                          hamiltonian, linear_drift, load_scenario,
-                          mean_interaction, no_interaction, policy,
-                          policy_gap_bound, probe_assumptions, quadratic_cost,
-                          sigma_bar, varying_diffusion, zero_terminal)
+from mfglab.errors import ConfigError
+from mfglab.model import (CATALOG_DIR, GaussianLaw, GridDensity,
+                          ParticleCloud, Grid1D, Scenario, check_smallness,
+                          constant_diffusion, hamiltonian, linear_drift,
+                          load_scenario, mean_interaction, no_interaction,
+                          policy, policy_gap_bound, probe_assumptions,
+                          quadratic_cost, sigma_bar, varying_diffusion,
+                          zero_terminal)
 
 
 def test_sigma_bar_constant_isotropic():
@@ -46,7 +47,7 @@ def test_sigma_bar_matrix_reconstruction():
 def test_sigma_bar_ellipticity_violation():
     diff = constant_diffusion(np.sqrt(2.0), dim=2)
     bad = 0.5 * diff.sigma0 * np.eye(2)
-    with pytest.raises(EllipticityError):
+    with pytest.raises(ConfigError, match="is not PSD"):
         sigma_bar(diff, bad)
 
 
@@ -229,7 +230,7 @@ def test_override_paths(tmp_path):
     assert (sc.T, sc.grid.n_x, sc.mc.master_seed) == (2.0, 501, 3)
     for bad in ("grid.typo", "typo", "horizon.x", "grid.n_x.y",
                 "interaction.not_a_key.c"):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="unknown scenario path"):
             load_scenario("lq", {bad: 1.0})
     # a section the file omits is created, with the loader's defaults
     raw = json.loads(json.dumps(SCENARIO_JSON))
@@ -278,7 +279,7 @@ def test_interaction_accepts_both_representations():
 
 
 def test_grid_span_guard():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="grid span"):
         Scenario(name="narrow", drift=linear_drift(1.0),
                  diffusion=constant_diffusion(np.sqrt(2.0)),
                  running_cost=quadratic_cost(C_x_L=0.0),
@@ -288,7 +289,7 @@ def test_grid_span_guard():
 
 
 def test_regime_constant_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="needs interaction constant"):
         Scenario(name="bad", drift=linear_drift(1.0),
                  diffusion=constant_diffusion(np.sqrt(2.0)),
                  running_cost=quadratic_cost(C_x_L=0.0),

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from mfglab.errors import ConfigError
 from mfglab.profiles import (make_profile, certify_class_K, constant_profile,
                              double_well_profile, profile_of_drift,
-                             shift_profile, ProfileError)
+                             shift_profile)
 
 
 class ConstantDiffusion1D:
@@ -37,7 +38,7 @@ def test_certify_negative_constant_fails():
 
 
 def test_non_finite_evaluator_raises():
-    with pytest.raises(ProfileError):
+    with pytest.raises(ConfigError, match="non-finite value"):
         make_profile(lambda r: np.where(r > 1.0, np.nan, 1.0), r_max=10.0)
 
 
@@ -106,5 +107,5 @@ def test_shift_profile_hess_mode():
 
 
 def test_empty_radius_grid_rejected():
-    with pytest.raises(ProfileError):
+    with pytest.raises(ConfigError, match="empty radius grid"):
         profile_of_drift(lambda x: -x, ConstantDiffusion1D(), np.array([]))

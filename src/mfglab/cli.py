@@ -285,11 +285,9 @@ def cmd_turnpike(sc, run, args):
     flow, value, trace, _ = solve_mfg(sc, force=args.force, smallness=rep,
                                       tol=args.tol)
     report = turnpike_report(sc, flow, value, sol, rep)
-    d_hess = report.d_hess if report.d_hess is not None \
-        else np.full(len(report.times), np.nan)
     write_csv(run.file("turnpike.csv"),
-              ["t", "d_flow", "d_value", "d_hess", "bound", "pass"],
-              [report.times, report.d_flow, report.d_value, d_hess,
+              ["t", "d_flow", "d_value", "bound", "pass"],
+              [report.times, report.d_flow, report.d_value,
                report.bound_flow, report.flow_pass.astype(int)])
     v = report.verdicts
     run.record("turnpike_flow_bound", v["flow_bound"])
@@ -301,7 +299,7 @@ def cmd_turnpike(sc, run, args):
                lam_out=(v["lam_out"] if v["lam_out"] is not None else "none"),
                lam_star=v["lam_star"])
     run.plot_script(["plot 'turnpike.csv' using 1:2 with lines title "
-                     "'d_flow', '' using 1:5 with lines title 'bound'"])
+                     "'d_flow', '' using 1:4 with lines title 'bound'"])
 
 
 COMMANDS = {"rates": cmd_rates, "coupling": cmd_coupling,
@@ -379,6 +377,7 @@ def build_parser():
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
+    run = None
     try:
         args = parser.parse_args(argv)
         if args.command == "sweep":
@@ -389,6 +388,9 @@ def main(argv=None):
         COMMANDS[args.command](sc, run, args)
         return run.finish(path, ["mfglab"] + argv)
     except MfglabError as exc:
+        if run is not None:    # leave no finished-looking run directory
+            for name in run.outputs + ["summary.json", "manifest.json"]:
+                (run.path / name).unlink(missing_ok=True)
         print(f"error ({exc.kind}): {exc}", file=sys.stderr)
         return EXIT_CODES[exc.kind]
 

@@ -75,6 +75,58 @@ def upwind_gradient(phi, dx, direction):
     return np.where(direction > 0.0, fwd, np.where(direction < 0.0, bwd, g))
 
 
+def gradient_bands(n, dx, direction=None):
+    """Entry [k][i] is the weight of node i + k in row i of
+    gradient_second_order (direction None) or upwind_gradient.  Rows reach
+    two nodes to each side, so a probe with ones at every fifth node meets
+    each row in one node: five probes read off all entries.
+    """
+    rows = np.arange(n)
+    bands = np.zeros((5, n))
+    for j in range(5):
+        probe = (rows % 5 == j).astype(float)
+        col = gradient_second_order(probe, dx) if direction is None \
+            else upwind_gradient(probe, dx, direction)
+        bands[(j - rows + 2) % 5, rows] = col     # the probe's node in row i
+    return {k: bands[k + 2] for k in (-2, -1, 0, 1, 2)}
+
+
+def diffusion_bands(sig2, dx, scale=1.0):
+    """-(sigma^2/2) D2 of the value solver, times scale, as diagonals
+    (offset -> array); the two boundary rows carry no diffusion."""
+    half = np.zeros_like(sig2)
+    half[1:-1] = 0.5 * sig2[1:-1] * scale / dx ** 2
+    return {-1: -half, 0: 2.0 * half, 1: -half}
+
+
+def apply_bands(bands, v):
+    """sum_k bands[k][i] v[i + k]: the operator given by its diagonals."""
+    out = np.zeros_like(v)
+    for k, c in bands.items():
+        lo, hi = max(0, -k), len(v) - max(0, k)
+        out[lo:hi] += c[lo:hi] * v[lo + k:hi + k]
+    return out
+
+
+def value_stencil(phi, dx, xs, b, cost, sig2_min):
+    """The value solver's (grad, w = policy(grad), a = b + w) at phi, plus
+    max |a| of the central stencil and the switch's direction: the central
+    a when the cell Peclet number exceeds one (grad is then upwind), else
+    None.
+    """
+    g = gradient_second_order(phi, dx)
+    w = policy(cost, xs, g)
+    a = b + w
+    a_central_max = np.abs(a).max()
+    direction = None
+    if a_central_max * dx > sig2_min:
+        direction = a
+        g = upwind_gradient(phi, dx, direction)
+        w = policy(cost, xs, g)
+        a = b + w
+    return g, w, a, a_central_max, direction
+
+
 def hessian_interior(phi, dx):
     h = np.empty_like(phi)
     h[1:-1] = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / dx ** 2
@@ -176,12 +228,8 @@ def solve_hjb(grid: Grid1D, T, diffusion: DiffusionSpec, drift_b: Callable,
     sig2 = diffusion.sigma_at(xs) ** 2
     b = np.asarray(drift_b(xs), dtype=float)
 
-    half = 0.5 * sig2 * dt / dx ** 2
-    sub = np.concatenate([-half[1:-1], [0.0]])
-    sup = np.concatenate([[0.0], -half[1:-1]])
-    diag = np.ones_like(xs)
-    diag[1:-1] += 2.0 * half[1:-1]
-    solver = TridiagLU(sub, diag, sup)
+    lap = diffusion_bands(sig2, dx, dt)
+    solver = TridiagLU(lap[-1][1:], 1.0 + lap[0], lap[1][:-1])
     sig2_min = np.min(sig2)
 
     store = _store_plan(n_steps, max_slices)
@@ -195,18 +243,11 @@ def solve_hjb(grid: Grid1D, T, diffusion: DiffusionSpec, drift_b: Callable,
     peclet_lim = dx / dt
     for k in range(n_steps, -1, -1):
         t = k * dt
-        g = gradient_second_order(phi, dx)
-        w = policy(cost, xs, g)
-        a = b + w
-        a_max = np.abs(a).max()
+        g, w, a, a_max, _ = value_stencil(phi, dx, xs, b, cost, sig2_min)
         if a_max > peclet_lim:
             raise NumericalError(f"explicit advection violates the CFL "
                                  f"guard at t={t:g}; reduce dt or enlarge "
                                  f"the box")
-        if a_max * dx > sig2_min:
-            g = upwind_gradient(phi, dx, a)
-            w = policy(cost, xs, g)
-            a = b + w
         if k in store_set:
             j = store_set[k]
             phi_out[j] = phi
@@ -249,6 +290,14 @@ def _bernoulli(w):
     return out
 
 
+def _face_diffusion(grid: Grid1D, diffusion: DiffusionSpec):
+    """Cell faces x_mid, the diffusion D = sigma^2/2 there, and D' there."""
+    xs = grid.xs
+    D_nodes = 0.5 * diffusion.sigma_at(xs) ** 2
+    return (0.5 * (xs[1:] + xs[:-1]), 0.5 * (D_nodes[1:] + D_nodes[:-1]),
+            (D_nodes[1:] - D_nodes[:-1]) / grid.dx)
+
+
 def _cc_matrix(beta_mid, D_mid, dx):
     """Tridiagonal generator m' = A m of the no-flux finite-volume scheme.
 
@@ -286,10 +335,7 @@ def solve_fokker_planck(grid: Grid1D, T, diffusion: DiffusionSpec,
     n_steps = int(round(T / dt))
     if abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
         raise NumericalError(f"horizon {T:g} is not a multiple of dt={dt:g}")
-    x_mid = 0.5 * (xs[1:] + xs[:-1])
-    D_nodes = 0.5 * diffusion.sigma_at(xs) ** 2
-    D_mid = 0.5 * (D_nodes[1:] + D_nodes[:-1])
-    Dp_mid = (D_nodes[1:] - D_nodes[:-1]) / dx
+    x_mid, D_mid, Dp_mid = _face_diffusion(grid, diffusion)
 
     m = np.asarray(mu0_density, dtype=float).copy()
     m = np.maximum(m, 0.0)
@@ -348,12 +394,8 @@ def stationary_density_cc(grid: Grid1D, diffusion: DiffusionSpec, beta_fn):
     Discrete counterpart of m ~ sigma^{-2} exp(2 integral beta / sigma^2):
     the cumulative product of the per-face equilibrium ratios, normalized.
     """
-    xs = grid.xs
     dx = grid.dx
-    x_mid = 0.5 * (xs[1:] + xs[:-1])
-    D_nodes = 0.5 * diffusion.sigma_at(xs) ** 2
-    D_mid = 0.5 * (D_nodes[1:] + D_nodes[:-1])
-    Dp_mid = (D_nodes[1:] - D_nodes[:-1]) / dx
+    x_mid, D_mid, Dp_mid = _face_diffusion(grid, diffusion)
     a_mid = np.asarray(beta_fn(x_mid), dtype=float) - Dp_mid
     logw = np.concatenate([[0.0], np.cumsum(a_mid * dx / D_mid)])
     logw -= np.max(logw)
@@ -381,6 +423,17 @@ def optimal_flow(value: ValueFunction, scenario: Scenario,
     T = float(value.times[-1])
     return solve_fokker_planck(scenario.grid, T, scenario.diffusion, beta,
                                mu0_density)
+
+
+def invariant_density(scenario: Scenario, grad):
+    """Stationary density of the state driven by the feedback of grad."""
+    xs = scenario.grid.xs
+
+    def beta_inf(x):
+        gg = np.interp(x, xs, grad)
+        return scenario.drift.b(x) + policy(scenario.running_cost, x, gg)
+
+    return stationary_density_cc(scenario.grid, scenario.diffusion, beta_inf)
 
 
 # ---------------------------------------------------------------------------

@@ -425,6 +425,8 @@ def simulate_coupling(config: CouplingConfig, diffusion, init_sampler,
     dt = config.dt
     out_steps = sorted({int(round(t / dt)) for t in config.t_grid})
     for t in config.t_grid:
+        if t < 0.0:
+            raise ConfigError(f"output time {t:g} precedes the start t = 0")
         if abs(round(t / dt) * dt - t) > 1e-9:
             raise ConfigError(f"output time {t:g} not on the dt grid")
     if len(out_steps) != len(config.t_grid):

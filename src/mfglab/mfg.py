@@ -21,14 +21,14 @@ from scipy import sparse
 from scipy import stats as sstats
 from scipy.sparse.linalg import splu
 
-from .control import (MeasureFlow, ValueFunction, gradient_second_order,
-                      optimal_flow, solve_fokker_planck, solve_hjb,
-                      stationary_density_cc, upwind_gradient)
+from .control import (MeasureFlow, ValueFunction, apply_bands,
+                      diffusion_bands, gradient_bands, gradient_second_order,
+                      invariant_density, optimal_flow, solve_fokker_planck,
+                      solve_hjb, stationary_density_cc, value_stencil)
 from .distances import f_norm, lip_norm, tv_grid, w1_grid, wf_grid
-from .errors import CertificationError, FixedPointError, NumericalError
+from .errors import CertificationError, FixedPointError
 from .metrics import q_kernel
-from .model import (GridDensity, Scenario, SmallnessReport, check_smallness,
-                    policy)
+from .model import GridDensity, Scenario, SmallnessReport, check_smallness
 
 # the turnpike report rate, and the Picard contraction read at it, as a
 # fraction of the certified rate lambda_star
@@ -81,19 +81,10 @@ def _interaction_source(scenario: Scenario, flow: Optional[MeasureFlow]):
     n = min(_SOURCE_SLICES, len(flow.times))
     idx = np.unique(np.linspace(0, len(flow.times) - 1, n).astype(int))
     ts = flow.times[idx]
-    table = np.stack([inter.value(GridDensity(flow.xs, flow.densities[i]),
-                                  xs) for i in idx])
-
-    def source(t, xq):
-        if t <= ts[0]:
-            return table[0]
-        if t >= ts[-1]:
-            return table[-1]
-        j = int(np.searchsorted(ts, t))
-        w = (t - ts[j - 1]) / (ts[j] - ts[j - 1])
-        return (1.0 - w) * table[j - 1] + w * table[j]
-
-    return source
+    table = MeasureFlow(ts, xs, np.stack([
+        inter.value(GridDensity(flow.xs, flow.densities[i]), xs)
+        for i in idx]))
+    return lambda t, xq: table.at(t)
 
 
 def frozen_solve(scenario: Scenario, flow: Optional[MeasureFlow],
@@ -187,17 +178,6 @@ def _frozen_source(scenario: Scenario, mu_frozen):
     return inter.value(GridDensity(xs, mu_frozen), xs)
 
 
-def _invariant_density(scenario: Scenario, grad):
-    """Stationary density of the state driven by the feedback of grad."""
-    xs = scenario.grid.xs
-
-    def beta_inf(x):
-        gg = np.interp(x, xs, grad)
-        return scenario.drift.b(x) + policy(scenario.running_cost, x, gg)
-
-    return stationary_density_cc(scenario.grid, scenario.diffusion, beta_inf)
-
-
 def _certify_ergodic(scenario: Scenario, g, src_vals, tol, iterations,
                      factors):
     """One horizon sweep from a fixed point g of the normalized map.
@@ -219,7 +199,7 @@ def _certify_ergodic(scenario: Scenario, g, src_vals, tol, iterations,
     grad = gradient_second_order(g, grid.dx)
     return ErgodicSolution(eta=-float(np.mean(level)) / _MAP_HORIZON, xs=xs,
                            phi_inf=g, grad_inf=grad,
-                           mu_inf=_invariant_density(scenario, grad),
+                           mu_inf=invariant_density(scenario, grad),
                            flatness_residual=flatness, iterations=iterations,
                            contraction_factors=factors,
                            fnorm_phi=lip_norm(xs, g))
@@ -262,45 +242,23 @@ def frozen_ergodic(scenario: Scenario, mu_frozen=None, tol=1e-9,
     return _certify_ergodic(scenario, g, src_vals, tol, len(diffs), factors)
 
 
-def _band_stencils(n, dx, direction=None):
-    """Rows of a five-point difference operator as diagonals (offset -> array).
-
-    Entry [k][i] is the weight of node i + k in row i.  direction None gives
-    gradient_second_order's stencil; otherwise upwind_gradient's rows for
-    that transport direction.
-    """
-    h = 1.0 / (2.0 * dx)
-    c = {k: np.zeros(n) for k in (-2, -1, 0, 1, 2)}
-    c[-1][1:-1], c[1][1:-1] = -h, h
-    c[0][0], c[1][0], c[2][0] = -3.0 * h, 4.0 * h, -h
-    c[0][-1], c[-1][-1], c[-2][-1] = 3.0 * h, -4.0 * h, h
-    if direction is not None:
-        fwd = np.flatnonzero(direction[:-2] > 0.0)
-        bwd = 2 + np.flatnonzero(direction[2:] < 0.0)
-        for rows, w in ((fwd, {0: -3.0, 1: 4.0, 2: -1.0}),
-                        (bwd, {0: 3.0, -1: -4.0, -2: 1.0})):
-            for k in c:
-                c[k][rows] = w.get(k, 0.0) * h
-    return c
-
-
 def _ergodic_newton(scenario: Scenario, src_vals, g, tol):
     """Newton's method for the value solver's discrete stationary equation.
 
     Solves -(sigma^2/2) D2 g - H(g) + lam = 0 on interior nodes and
     -H(g) + lam = 0 on the two boundary rows, with g = 0 at the node
     nearest x = 0.  H is solve_hjb's explicit Hamiltonian L(w) + (b + w) D g
-    (+ source) with w = policy(D g), and D the stencil solve_hjb uses at g:
-    central, or upwind when the global cell-Peclet switch fires.  A fixed
-    point of the normalized horizon map solves this equation, and lam is
-    the per-unit-time level, so eta = -lam.  By the envelope theorem the
-    Jacobian is -(sigma^2/2) D2 - diag(b + w) D; the unknown lam takes the
-    place of g at the pinned node, whose column becomes a column of ones.
-    Across the upwind switch this is Howard's policy iteration.
+    (+ source), with D and w from control.value_stencil at g, as solve_hjb
+    takes them.  A fixed point of the normalized horizon map solves this
+    equation, and lam is the per-unit-time level, so eta = -lam.  By the
+    envelope theorem the Jacobian is -(sigma^2/2) D2 - diag(b + w) D; the
+    unknown lam takes the place of g at the pinned node, whose column
+    becomes a column of ones.  Across the upwind switch this is Howard's
+    policy iteration.
 
     Returns (g, steps); raises FixedPointError after _NEWTON_MAX_STEPS
-    steps without max|dg| < tol and NumericalError if the converged
-    solution breaks solve_hjb's CFL guard.
+    steps without max|dg| < tol.  The equation has no time step: the CFL
+    guard is the certifying sweep's, in solve_hjb.
     """
     grid = scenario.grid
     xs, dx, n = grid.xs, grid.dx, len(grid.xs)
@@ -309,30 +267,18 @@ def _ergodic_newton(scenario: Scenario, src_vals, g, tol):
     sig2 = scenario.diffusion.sigma_at(xs) ** 2
     sig2_min = np.min(sig2)
     b = np.asarray(scenario.drift.b(xs), dtype=float)
-    # -(sigma^2/2) D2 on interior rows; the boundary rows carry no diffusion
-    half = np.zeros(n)
-    half[1:-1] = 0.5 * sig2[1:-1] / dx ** 2
-    neg_lap = {-1: -half, 0: 2.0 * half, 1: -half}
+    neg_lap = diffusion_bands(sig2, dx)
     rows = np.arange(n)
     g = np.asarray(g, dtype=float) - g[i0]
     for step in range(_NEWTON_MAX_STEPS + 1):
-        p = gradient_second_order(g, dx)
-        a = b + policy(cost, xs, p)
-        a_central_max = np.abs(a).max()
-        direction = None
-        if a_central_max * dx > sig2_min:
-            direction = a
-            p = upwind_gradient(g, dx, direction)
-            a = b + policy(cost, xs, p)
+        p, w, a, _, direction = value_stencil(g, dx, xs, b, cost, sig2_min)
         # the step solves J dg + lam 1 = rhs, with rhs = -F(g) =
         # H(g) + (sigma^2/2) D2 g the residual of the equation at lam = 0
-        rhs = cost.L(xs, a - b) + a * p
+        rhs = cost.L(xs, w) + a * p - apply_bands(neg_lap, g)
         if src_vals is not None:
             rhs += src_vals
-        rhs[1:-1] += 0.5 * sig2[1:-1] * (g[2:] - 2.0 * g[1:-1] + g[:-2]) \
-            / dx ** 2
         r_idx, c_idx, vals = [rows], [np.full(n, i0)], [np.ones(n)]
-        for k, coef in _band_stencils(n, dx, direction).items():
+        for k, coef in gradient_bands(n, dx, direction).items():
             col = rows + k
             keep = (col >= 0) & (col < n) & (col != i0)
             r_idx.append(rows[keep])
@@ -345,10 +291,6 @@ def _ergodic_newton(scenario: Scenario, src_vals, g, tol):
         delta[i0] = 0.0          # that slot held lam
         g += delta
         if np.max(np.abs(delta)) < tol:
-            if a_central_max > dx / grid.dt:
-                raise NumericalError("explicit advection violates the CFL "
-                                     "guard on the ergodic solution; reduce "
-                                     "dt or enlarge the box")
             return g, step
     raise FixedPointError(
         f"ergodic Newton did not converge in {_NEWTON_MAX_STEPS} steps "
@@ -388,7 +330,7 @@ def solve_ergodic_mfg(scenario: Scenario, tol=1e-7, force=False,
         src_vals = _frozen_source(scenario, mu)
         g, k = _ergodic_newton(scenario, src_vals, g, inner_tol)
         steps += k
-        mu_new = _invariant_density(scenario, gradient_second_order(g, grid.dx))
+        mu_new = invariant_density(scenario, gradient_second_order(g, grid.dx))
         change = tv_grid(xs, mu_new, mu, check=False) if low \
             else w1_grid(xs, mu_new, mu, check=False)
         entry = {"iter": it, "change": change, "newton_steps": k}
@@ -577,7 +519,6 @@ class TurnpikeReport:
     bound_value: np.ndarray
     window: np.ndarray
     flow_pass: np.ndarray      # per time: outside the window or in the bound
-    d_hess: Optional[np.ndarray]
     W0: float
     constants: TurnpikeConstants
     verdicts: dict
@@ -619,18 +560,9 @@ def turnpike_report(scenario: Scenario, flow: MeasureFlow,
             d_flow[j] = w1_grid(xs, flow.densities[i], ergodic.mu_inf,
                                 check=False)
     d_value = np.empty(len(idx))
-    d_hess = np.empty(len(idx)) if scenario.diffusion.is_constant else None
-    dx = scenario.grid.dx
-    hess_inf = None
-    if d_hess is not None:
-        hess_inf = np.gradient(ergodic.grad_inf, dx)
     for j, t in enumerate(times):
-        i = value.slice_at(t)
-        gap_grad = value.grad[i] - ergodic.grad_inf
+        gap_grad = value.grad[value.slice_at(t)] - ergodic.grad_inf
         d_value[j] = float(np.max(np.abs(gap_grad)))
-        if d_hess is not None:
-            d_hess[j] = float(np.max(np.abs(
-                np.gradient(value.grad[i], dx) - hess_inf)[2:-2]))
 
     W0 = wf_grid(xs, flow.densities[0], ergodic.mu_inf, tm_bar.f,
                  n_atoms=128, check=False)
@@ -665,8 +597,7 @@ def turnpike_report(scenario: Scenario, flow: MeasureFlow,
     }
     return TurnpikeReport(times=times, d_flow=d_flow, d_value=d_value,
                           bound_flow=bound_flow, bound_value=bound_value,
-                          window=window, flow_pass=flow_pass,
-                          d_hess=d_hess, W0=W0,
+                          window=window, flow_pass=flow_pass, W0=W0,
                           constants=constants, verdicts=verdicts)
 
 

@@ -202,6 +202,28 @@ def test_coupling_duplicate_times_exit_2(tmp_path):
                  str(tmp_path)]) == 2
 
 
+def test_failed_run_leaves_no_finished_directory(tmp_path):
+    raw = json.loads(scenario_path("ou").read_text())
+    raw["mc"] = {"n_paths": 4000, "dt": 1e-3,
+                 "master_seed": 20240901, "t_grid": [1.0, 2.0]}
+    good = tmp_path / "ou_good.json"
+    good.write_text(json.dumps(raw))
+    # one output step leaves the moment plateau nothing to fit: exit 2
+    # after coupling.csv is written
+    raw["mc"]["t_grid"] = [0.001]
+    bad = tmp_path / "ou_bad.json"
+    bad.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    run = out / "ou-coupling"
+    assert main(["coupling", "--scenario", str(good), "--out",
+                 str(out)]) == 0
+    assert (run / "summary.json").exists()
+    assert main(["coupling", "--scenario", str(bad), "--out",
+                 str(out)]) == 2
+    left = {p.name for p in run.iterdir()}
+    assert not left & {"coupling.csv", "summary.json", "manifest.json"}
+
+
 def test_coupling_thread_determinism(tmp_path):
     # 5000 paths are one chunk, so --threads 2 draws its noise ahead on the
     # spare worker while --threads 1 draws it inline: same bytes out

@@ -358,6 +358,25 @@ def test_duplicate_output_times_rejected(tm_ou):
             simulate_coupling(cfg, DIFF, pair_at_distance(1.0), tm=tm_ou)
 
 
+def test_negative_output_time_rejected(tm_ou):
+    # no step records a time before the start: its row would read zeros
+    cfg = CouplingConfig(kind="reflection", dt=1e-2, n_paths=200,
+                         t_grid=(-0.01, 0.01), beta=lambda t, x: -x,
+                         master_seed=5)
+    with pytest.raises(ConfigError, match="precedes the start"):
+        simulate_coupling(cfg, DIFF, pair_at_distance(1.0), tm=tm_ou)
+
+
+def test_output_time_zero_is_the_initial_pair(tm_ou):
+    cfg = CouplingConfig(kind="reflection", dt=1e-2, n_paths=200,
+                         t_grid=(0.0, 0.01), beta=lambda t, x: -x,
+                         master_seed=5)
+    stats = simulate_coupling(cfg, DIFF, pair_at_distance(1.0), tm=tm_ou)
+    assert stats.mean_f[0] == pytest.approx(tm_ou.f(1.0), rel=1e-12)
+    assert stats.p_neq[0] == 1.0
+    assert np.all(np.isfinite(stats.bound_p))
+
+
 def test_drift_gap_requires_increasing_times(tm_ou):
     cfg = CouplingConfig(kind="approx_delta", dt=1e-3, n_paths=200,
                          t_grid=(1.0,), beta=lambda t, x: -x,

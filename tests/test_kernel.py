@@ -6,7 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mfglab.control import (_FP_BLOCK, TridiagLU, ValueFunction,
-                            optimal_flow, solve_fokker_planck, tridiag_solve)
+                            apply_bands, gradient_bands,
+                            gradient_second_order, optimal_flow,
+                            solve_fokker_planck, tridiag_solve,
+                            upwind_gradient)
 from mfglab.errors import NumericalError
 from mfglab.model import (Grid1D, constant_diffusion, load_scenario, policy,
                           varying_diffusion)
@@ -50,6 +53,30 @@ def test_tridiag_singular_raises():
         TridiagLU(sub, diag, sup)
     with pytest.raises(NumericalError, match="dgtsv failed"):
         tridiag_solve(np.zeros(3), np.zeros(4), np.zeros(3), np.ones(4))
+
+
+@given(n=st.integers(3, 64), seed=st.integers(0, 2 ** 32 - 1),
+       dx=st.floats(1e-3, 10.0), upwind=st.booleans())
+def test_gradient_bands_match_the_stencil(n, seed, dx, upwind):
+    rng = np.random.default_rng(seed)
+    phi = rng.normal(size=n)
+    if upwind:
+        # exact zeros keep central rows among the one-sided ones
+        direction = rng.choice([-1.0, 0.0, 1.0], n) * rng.uniform(0.1, 5.0, n)
+        ref = upwind_gradient(phi, dx, direction)
+    else:
+        direction, ref = None, gradient_second_order(phi, dx)
+    bands = gradient_bands(n, dx, direction)
+    got = np.zeros(n)
+    for k, c in bands.items():
+        for i in range(n):
+            if 0 <= i + k < n:
+                got[i] += c[i] * phi[i + k]
+            else:
+                assert c[i] == 0.0          # no weight off the grid
+    tol = 1e-12 * np.max(np.abs(phi)) / dx
+    assert np.max(np.abs(got - ref)) <= tol
+    assert np.max(np.abs(apply_bands(bands, phi) - ref)) <= tol
 
 
 def fp_grid():

@@ -123,10 +123,12 @@ def test_newton_step_cap_raises(monkeypatch):
 
 
 def test_newton_keeps_the_cfl_guard():
-    # dt = 0.05 at dx = 0.25 allows |b + w| <= 5; the solution reaches 10
+    # dt = 0.05 at dx = 0.25 allows |b + w| <= 5; the solution reaches 10.
+    # Newton's equation has no time step: the certifying sweep's value
+    # solve raises, at the start of its unit horizon
     sc = load_scenario("lq", {"grid.n_x": 41, "grid.dt": 0.05})
-    with pytest.raises(NumericalError, match="CFL"):
-        mfg._ergodic_newton(sc, None, np.zeros_like(sc.grid.xs), 1e-10)
+    with pytest.raises(NumericalError, match=r"CFL guard at t=1\b"):
+        solve_ergodic_mfg(sc, force=True)
 
 
 def test_frozen_solve_no_interaction_reduces(lq_mean_quick):

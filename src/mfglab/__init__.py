@@ -1,5 +1,6 @@
 """mfglab: coupling rates, stochastic control bounds, and mean-field-game
-turnpike verification at desk scale (1D PDEs, d-dimensional couplings)."""
+turnpike verification at desk scale (1D PDEs and couplings, d-dimensional
+matrix factor and sampled profiles)."""
 
 __version__ = "0.1.0"
 
@@ -10,7 +11,7 @@ from .profiles import (MonotonicityProfile, KReport, make_profile,
 from .metrics import (TwistedMetric, QuadraticTwistedMetric,
                       build_twisted_metric, build_quadratic_metric,
                       check_differential_inequality, q_kernel, q_integral,
-                      q_weighted_integral,
+                      q_weighted_integral, gap_envelope, girsanov_tv,
                       lemma_kernel_integrals, save_metric, load_metric)
 from .model import (Scenario, Grid1D, MCConfig, GaussianLaw, DiffusionSpec,
                     DriftSpec, RunningCostSpec, InteractionSpec,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .distances import tv_grid, w1_grid, w1_samples
 from .errors import ConfigError, NumericalError
-from .metrics import q_kernel
+from .metrics import gap_envelope, girsanov_tv, q_kernel
 
 
 KINDS = ("synchronous", "reflection", "controlled_reflection", "interpolated",
@@ -504,17 +504,11 @@ def check_drift_gap_bounds(config: CouplingConfig, diffusion, init_sampler,
             stats = replace(stats, **{k: v[~at_t0] for k, v in
                                       vars(stats).items()
                                       if isinstance(v, np.ndarray)})
-    lam = tm.lam
     gap = delta_beta_sup if callable(delta_beta_sup) \
         else (lambda s: delta_beta_sup)
     t_arr = stats.t_grid
-    offsets = []
-    for t in t_arr:
-        ss = np.linspace(0.0, t, 257)
-        offsets.append(np.trapezoid(np.exp(-lam * (t - ss))
-                                    * np.array([gap(s) for s in ss]), ss)
-                       if t > 0 else 0.0)
-    bound_i = np.exp(-lam * t_arr) * stats.mean_f0 + np.array(offsets)
+    bound_i = np.array([gap_envelope(tm.lam, stats.mean_f0, gap, t)
+                        for t in t_arr])
     report = {"stats": stats, "bound_with_offset": bound_i,
               "pass_contraction": bool(np.all(
                   stats.mean_f <= bound_i + 3.0 * stats.se_f
@@ -522,11 +516,8 @@ def check_drift_gap_bounds(config: CouplingConfig, diffusion, init_sampler,
 
     if t0 is not None:
         t_end = float(t_arr[-1])
-        ss = np.linspace(t0, t_end, 257)
-        girsanov = np.sqrt(np.trapezoid(np.array([gap(s) ** 2 for s in ss]),
-                                        ss) / 2.0)
         bound_tv = q_kernel(tm.C, tm.lam, tm.sigma_check, t_end - t0) \
-            * mean_f_t0 + girsanov
+            * mean_f_t0 + girsanov_tv(gap, t0, t_end)
         report["bound_tv"] = bound_tv
         report["tv_true"] = tv_true
         if tv_true is not None:

@@ -21,6 +21,11 @@ Every integral is adaptive Simpson between table nodes; between nodes the
 cumulative quantities are monotone-cubic interpolated, so evaluation is
 closed-form-exact for piecewise-constant negative parts and accurate to
 roughly 1e-9 otherwise.
+
+This module also holds the package's only integrals against the coalescence
+kernel (q_weighted_integral) and against the exponential weight of a drift
+gap (gap_envelope, girsanov_tv), and within_bound, the one rule for a
+measurement within its certified bound.
 """
 
 import json
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import simpson
+from scipy.integrate import cumulative_simpson, simpson
 from scipy.interpolate import PchipInterpolator
 
 from ._quad import QUAD_TOL, adaptive_simpson, bisect_root
@@ -89,10 +94,6 @@ class TwistedMetric:
         r_arr = np.minimum(np.asarray(r, dtype=float), self.r_table[-1])
         return np.exp(-self._I(r_arr) / (2.0 * self.sigma_check ** 2))
 
-    def g(self, r):
-        r_arr = np.asarray(r, dtype=float)
-        return self.fprime(r_arr) / np.maximum(self.phi(r_arr), 1e-300)
-
     def fsecond(self, r):
         """f'' from the analytic pieces f'' = phi' g + phi g'."""
         if self._I is None or self._Phi is None:
@@ -141,7 +142,6 @@ def _table_nodes(profile, R0, R1):
 
 def _cumsimp(y, x):
     """Cumulative composite Simpson along a (possibly nonuniform) grid."""
-    from scipy.integrate import cumulative_simpson
     return cumulative_simpson(y, x=x, initial=0.0)
 
 
@@ -273,51 +273,25 @@ def lemma_kernel_integrals(C, lam_bar, sigma0, lam, t, T, mode="forward"):
 
     forward:  integral over [t, T] of exp(-lam s)     q_{s-t} ds
     backward: integral over [t, T] of exp(-lam (T-s)) q_{s-t} ds
-    where q carries the rate lam_bar and constants (C, sigma0).  The square
-    root singularity at s = t is removed by the substitution s = t + v^2.
+    where q carries the rate lam_bar and constants (C, sigma0); the
+    quadrature is q_weighted_integral's.
     """
     if lam >= lam_bar:
         raise ConfigError("need lam < lam_bar")
     if T < t:
         raise ConfigError("need t <= T")
-    if T == t:
-        quadrature = 0.0
-    else:
-        t_knee = 1.0 / (2.0 * lam_bar)
-        span = T - t
-        pref = 1.0 / (np.sqrt(2.0 * np.pi) * C * sigma0)
-
-        def weight(u):
-            # u = s - t
-            return np.exp(-lam * (t + u)) if mode == "forward" \
-                else np.exp(-lam * (T - t - u))
-
-        def scaled_quad(fn, a, b):
-            # pre-scale the absolute budget so integrals far below QUAD_TOL
-            # (deep exponential tails) are still resolved relatively
-            xs = np.linspace(a, b, 257)
-            scale = abs(simpson([fn(x) for x in xs], x=xs))
-            tol = max(QUAD_TOL * max(scale, 1e-30), 1e-280)
-            return adaptive_simpson(fn, a, b, tol, rel=1e-9)
-
-        v_hi = np.sqrt(min(span, t_knee))
-        early = scaled_quad(lambda v: 2.0 * pref * weight(v * v), 0.0, v_hi)
-        late = 0.0
-        if span > t_knee:
-            amp = np.sqrt(lam_bar * np.e) / (np.sqrt(np.pi) * C * sigma0)
-            late = scaled_quad(
-                lambda u: amp * np.exp(-lam_bar * u) * weight(u), t_knee, span)
-        quadrature = early + late
-
     base = 1.0 / (np.sqrt(np.pi) * C * sigma0)
     if mode == "forward":
+        weight = lambda s: np.exp(-lam * s)
         bound = np.exp(-lam * t) * base * (1.0 / np.sqrt(lam_bar)
                                            + np.sqrt(lam_bar) / (lam + lam_bar))
     elif mode == "backward":
+        weight = lambda s: np.exp(-lam * (T - s))
         bound = (np.exp(-lam * (T - t)) * np.exp(lam / (2.0 * lam_bar)) * base
                  * (1.0 / np.sqrt(lam_bar) + np.sqrt(lam_bar) / (lam_bar - lam)))
     else:
         raise ConfigError(f"unknown mode {mode!r}")
+    quadrature = q_weighted_integral(C, lam_bar, sigma0, t, T, weight)
     return {"quadrature": quadrature, "bound": bound, "mode": mode}
 
 
@@ -333,11 +307,24 @@ def q_integral(C, lam, sigma0, tau):
     return head + amp * (np.exp(-lam * knee) - np.exp(-lam * tau)) / lam
 
 
+def _scaled_simpson(fn, a, b):
+    """Adaptive Simpson with an absolute budget scaled to the integral.
+
+    A 257-sample composite Simpson pre-pass sizes the integral, so that
+    integrals far below QUAD_TOL (deep exponential tails) are still resolved
+    relatively.
+    """
+    xs = np.linspace(a, b, 257)
+    scale = abs(simpson([fn(x) for x in xs], x=xs))
+    tol = max(QUAD_TOL * max(scale, 1e-30), 1e-280)
+    return adaptive_simpson(fn, a, b, tol, rel=1e-9)
+
+
 def q_weighted_integral(C, lam_bar, sigma0, t, T, weight):
     """Quadrature of the integral over [t, T] of q_{s-t} * weight(s) ds.
 
-    The square-root singularity at s = t is removed by substitution; weight
-    must be smooth and nonnegative.
+    The square-root singularity at s = t is removed by the substitution
+    s = t + v^2; weight must be smooth and nonnegative.
     """
     if T <= t:
         return 0.0
@@ -347,14 +334,48 @@ def q_weighted_integral(C, lam_bar, sigma0, t, T, weight):
     knee = 1.0 / (2.0 * lam_bar) if lam_bar > 0.0 else np.inf
     pref = 1.0 / (np.sqrt(2.0 * np.pi) * C * sigma0)
     v_hi = np.sqrt(min(span, knee))
-    total = adaptive_simpson(lambda v: 2.0 * pref * weight(t + v * v),
-                             0.0, v_hi, QUAD_TOL, rel=1e-8)
+    total = _scaled_simpson(lambda v: 2.0 * pref * weight(t + v * v),
+                            0.0, v_hi)
     if span > knee:
         amp = np.sqrt(lam_bar * np.e) / (np.sqrt(np.pi) * C * sigma0)
-        total += adaptive_simpson(
-            lambda u: amp * np.exp(-lam_bar * u) * weight(t + u),
-            knee, span, QUAD_TOL, rel=1e-8)
+        total += _scaled_simpson(
+            lambda u: amp * np.exp(-lam_bar * u) * weight(t + u), knee, span)
     return total
+
+
+# ---------------------------------------------------------------------------
+# drift-gap envelopes on one trapezoid
+
+_GAP_NODES = 257
+
+
+def gap_envelope(lam, w0, gap, t):
+    """exp(-lam t) w0 + integral over [0, t] of exp(-lam (t-s)) gap(s) ds.
+
+    The Duhamel envelope of a distance that contracts at rate lam from w0
+    while a drift gap (a callable of time) pushes it apart; trapezoid on
+    257 nodes.
+    """
+    offset = 0.0
+    if t > 0:
+        ss = np.linspace(0.0, t, _GAP_NODES)
+        offset = np.trapezoid(np.exp(-lam * (t - ss))
+                              * np.array([gap(s) for s in ss]), ss)
+    return np.exp(-lam * t) * w0 + offset
+
+
+def girsanov_tv(gap, t0, t):
+    """sqrt(integral over [t0, t] of gap(s)^2 ds / 2): the Girsanov bound on
+    the total variation a drift gap adds over [t0, t]; trapezoid on 257
+    nodes."""
+    ss = np.linspace(t0, t, _GAP_NODES)
+    return np.sqrt(np.trapezoid(np.array([gap(s) ** 2 for s in ss]), ss) / 2.0)
+
+
+def within_bound(measured, bound):
+    """The one rule for a measurement within its certified bound: relative
+    slack 1e-9 plus absolute 1e-12 (elementwise on arrays)."""
+    return np.asarray(measured) <= np.asarray(bound) * (1.0 + 1e-9) + 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .control import (MeasureFlow, ValueFunction, apply_bands,
                       solve_hjb, stationary_density_cc, value_stencil)
 from .distances import f_norm, lip_norm, tv_grid, w1_grid, wf_grid
 from .errors import CertificationError, FixedPointError
-from .metrics import q_kernel
+from .metrics import q_kernel, within_bound
 from .model import GridDensity, Scenario, SmallnessReport, check_smallness
 
 # the turnpike report rate, and the Picard contraction read at it, as a
@@ -581,9 +581,8 @@ def turnpike_report(scenario: Scenario, flow: MeasureFlow,
     slope_out = _fit_rate(T - times[out_mask], d_flow[out_mask], plateau)
     lam_out = None if slope_out is None else -slope_out
 
-    flow_pass = ~window | (d_flow <= bound_flow * (1.0 + 1e-9) + 1e-12)
-    value_ok = bool(np.all(d_value[window] <= bound_value[window]
-                           * (1.0 + 1e-9) + 1e-12))
+    flow_pass = ~window | within_bound(d_flow, bound_flow)
+    value_ok = bool(np.all(within_bound(d_value[window], bound_value[window])))
     half_star = 0.5 * rc.lambda_star
     verdicts = {
         "flow_bound": bool(np.all(flow_pass)),
@@ -614,4 +613,4 @@ def moment_bound(scenario: Scenario, flow: MeasureFlow,
         return {"measured": measured, "bound": None, "available": False}
     bound = min(caps)
     return {"measured": measured, "bound": bound, "available": True,
-            "pass": bool(measured <= bound * (1.0 + 1e-9))}
+            "pass": bool(within_bound(measured, bound))}

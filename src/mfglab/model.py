@@ -10,7 +10,7 @@ budgets.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -18,9 +18,10 @@ import numpy as np
 
 from ._quad import bisect_root
 from .errors import CertificationError, ConfigError, NumericalError
-from .metrics import TwistedMetric, build_twisted_metric
+from .distances import lip_norm, tv_grid, w1_grid
+from .metrics import TwistedMetric, build_twisted_metric, within_bound
 from .profiles import (MonotonicityProfile, constant_profile,
-                       double_well_profile, shift_profile)
+                       double_well_profile, make_profile, shift_profile)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +210,7 @@ def policy_gap_bound(cost: RunningCostSpec, cost_hat: RunningCostSpec,
     gap = np.abs(policy(cost, x, p) - policy(cost_hat, x, p))
     bound = C_u_delta_l / cost.rho_uu
     return {"gap": gap, "bound": bound,
-            "pass": bool(np.all(gap <= bound * (1.0 + 1e-9) + 1e-12))}
+            "pass": bool(np.all(within_bound(gap, bound)))}
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +225,6 @@ class InteractionSpec:
     C_mu_F: Optional[float] = None
     C_F: Optional[float] = None
     C_mu_TV_F: Optional[float] = None
-    strength: float = 0.0
 
 
 def no_interaction():
@@ -240,7 +240,7 @@ def mean_interaction(c, mean_bound=1.0):
     def value(mu, x):
         return c * np.asarray(x, dtype=float) * mu.mean()
 
-    return InteractionSpec(kind="mean", value=value, strength=c,
+    return InteractionSpec(kind="mean", value=value,
                            C_x_F=abs(c) * mean_bound, C_xmu_F=abs(c),
                            C_mu_F=None, C_F=None, C_mu_TV_F=None)
 
@@ -253,7 +253,7 @@ def conv_tanh_interaction(c):
     def value(mu, x):
         return c * mu.convolve(np.tanh, np.asarray(x, dtype=float))
 
-    return InteractionSpec(kind="conv", value=value, strength=c,
+    return InteractionSpec(kind="conv", value=value,
                            C_x_F=abs(c), C_xmu_F=abs(c) * d2max,
                            C_mu_F=abs(c), C_F=abs(c), C_mu_TV_F=2.0 * abs(c))
 
@@ -264,7 +264,6 @@ def conv_tanh_interaction(c):
 @dataclass(frozen=True)
 class TerminalCostSpec:
     G: Callable                      # (measure, x) -> array
-    bound_kind: str                  # "lipschitz" | "sup"
     C_x_G: Optional[float] = None
     C_G: Optional[float] = None
     C_xx_G: Optional[float] = None
@@ -273,15 +272,14 @@ class TerminalCostSpec:
 
 def zero_terminal():
     return TerminalCostSpec(G=lambda mu, x: np.zeros_like(np.asarray(x, dtype=float)),
-                            bound_kind="sup", C_G=0.0, C_x_G=0.0, C_xx_G=0.0,
-                            tag="zero")
+                            C_G=0.0, C_x_G=0.0, C_xx_G=0.0, tag="zero")
 
 
 def quadratic_terminal(gx, box=5.0):
     gx = float(gx)
     return TerminalCostSpec(G=lambda mu, x: 0.5 * gx * np.asarray(x, dtype=float) ** 2,
-                            bound_kind="lipschitz", C_x_G=abs(gx) * box,
-                            C_xx_G=abs(gx), tag="quadratic")
+                            C_x_G=abs(gx) * box, C_xx_G=abs(gx),
+                            tag="quadratic")
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +412,6 @@ def _build_extending(profile, sigma_check, tries=3):
         except CertificationError as exc:
             if not isinstance(exc.__cause__, NumericalError):
                 raise
-            from .profiles import make_profile
             prof = make_profile(prof.fn, r_min=prof.r_min,
                                 r_max=prof.r_max * 4.0, name=prof.name)
     raise CertificationError(f"R1 not bracketed for {profile.name!r} even "
@@ -477,8 +474,7 @@ def check_smallness(scenario: Scenario) -> SmallnessReport:
                               name=f"{scenario.drift.profile.name}-bar")
     if not kappa_bar.certification.is_K:
         eps = lambda lam: np.inf
-        from dataclasses import replace as _replace
-        dead = _replace(tm_b, lam=0.0, C=0.0, Z=np.inf, degenerate=True)
+        dead = replace(tm_b, lam=0.0, C=0.0, Z=np.inf, degenerate=True)
         return SmallnessReport(regime=regime, condition_value=np.inf,
                                threshold=0.0, margin=0.0, passes=False,
                                C_x_psi=C_x_psi, C_u_shift=C_u_shift,
@@ -631,7 +627,6 @@ def probe_assumptions(scenario: Scenario, n=1000, seed=0):
             # recenter so the cloud stays inside the declared mean family
             measures.append(ParticleCloud(pts - pts.mean() + law.mean))
         lip_vals, pair_x, pair_sup, pair_tv = [], [], [], []
-        from .distances import w1_grid, lip_norm
         for mu in measures:
             lip_vals.append(lip_norm(gx, inter.value(mu, gx)))
         for _ in range(40):
@@ -645,7 +640,6 @@ def probe_assumptions(scenario: Scenario, n=1000, seed=0):
             dv = inter.value(mu, gx) - inter.value(nu, gx)
             pair_x.append(lip_norm(gx, dv) / w1)
             pair_sup.append(float(np.max(np.abs(dv))) / w1)
-            from .distances import tv_grid
             tv = tv_grid(gx, mu.p, nu.p, check=False)
             if tv > 1e-6:
                 pair_tv.append(float(np.max(np.abs(dv))) / tv)
@@ -668,7 +662,6 @@ def probe_assumptions(scenario: Scenario, n=1000, seed=0):
     mu = GridDensity(gx, scenario.mu0.density(gx))
     gvals = term.G(mu, gx)
     if term.C_x_G is not None:
-        from .distances import lip_norm
         record("terminal_lipschitz", lip_norm(gx, gvals), term.C_x_G)
     if term.C_G is not None:
         record("terminal_sup", float(np.max(np.abs(gvals))), term.C_G)

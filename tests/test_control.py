@@ -5,7 +5,8 @@ from mfglab.control import (hessian_ledger, lipschitz_ledger, optimal_flow,
                             pontryagin_residual, solve_fokker_planck,
                             solve_hjb, stability_ledger,
                             stationary_density_cc)
-from mfglab.errors import NumericalError
+from mfglab import control
+from mfglab.errors import CertificationError, ConfigError, NumericalError
 from mfglab.metrics import build_twisted_metric
 from mfglab.model import (GaussianLaw, Grid1D, Scenario, constant_diffusion,
                           linear_drift, load_scenario, no_interaction,
@@ -218,6 +219,24 @@ def test_hessian_ledger_small_cost_nonvacuous(tm_b_unit):
     assert led.measured[0] == pytest.approx(p_exact, abs=2e-3)
 
 
+def test_hessian_ledger_propagates_certification_failure(tm_b_unit,
+                                                         monkeypatch):
+    # a failed certification of the shifted metric must surface, not turn
+    # into an empty window that passes vacuously
+    sc = load_scenario("lq", {"running_cost.q": 0.02, "terminal_cost.gx": 0.0,
+                              "grid.n_x": 201, "grid.dt": 1e-3})
+    vf = solve_hjb(sc.grid, sc.T, sc.diffusion, sc.drift.b, sc.running_cost,
+                   np.zeros_like(sc.grid.xs))
+    assert np.any(hessian_ledger(vf, sc, tm_b_unit).window)
+
+    def fail(profile, sigma_check):
+        raise CertificationError(f"profile {profile.name!r} not certified")
+
+    monkeypatch.setattr(control, "_build_extending", fail)
+    with pytest.raises(CertificationError, match="hessbar"):
+        hessian_ledger(vf, sc, tm_b_unit)
+
+
 def test_hessian_ledger_lq_vacuous_window(lq, lq_value, tm_b_unit):
     # the box-sized cost constants collapse the shifted rate: empty window
     led = hessian_ledger(lq_value, lq, tm_b_unit)
@@ -272,6 +291,19 @@ def test_stability_ledger_identical_problems(tm_b_unit):
     led = stability_ledger(vf, vf, sc, tm_b_unit, {"C_x_delta_l": 0.0})
     assert led.passes
     assert np.max(led.measured) == 0.0
+
+
+def test_stability_ledger_needs_state_cost_gap(tm_b_unit):
+    grid = Grid1D(-6.0, 6.0, 101, 1e-2)
+    diff = constant_diffusion(np.sqrt(2.0))
+    cost = quadratic_cost(rho_uu=1.0, C_x_L=0.0)
+    sc = Scenario(name="same", drift=linear_drift(1.0), diffusion=diff,
+                  running_cost=cost, interaction=no_interaction(),
+                  terminal_cost=zero_terminal(), mu0=GaussianLaw(0.0, 1.0),
+                  T=0.1, regime="high", grid=grid)
+    vf = solve_hjb(grid, sc.T, diff, sc.drift.b, cost, np.zeros(101))
+    with pytest.raises(ConfigError, match="C_x_delta_l"):
+        stability_ledger(vf, vf, sc, tm_b_unit, {"C_delta_l": 0.1})
 
 
 def test_pontryagin_residual_lq_transient():

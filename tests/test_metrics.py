@@ -2,13 +2,18 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from scipy.special import erf, erfi
 
 from mfglab.profiles import (constant_profile, double_well_profile,
                              make_profile, shift_profile)
 from mfglab.errors import CertificationError, ConfigError, NumericalError
 from mfglab.metrics import (build_twisted_metric, build_quadratic_metric,
-                            check_differential_inequality, q_kernel,
-                            lemma_kernel_integrals, save_metric, load_metric)
+                            check_differential_inequality, gap_envelope,
+                            girsanov_tv, q_kernel, q_weighted_integral,
+                            lemma_kernel_integrals, save_metric, load_metric,
+                            within_bound)
 from mfglab.model import _build_extending
 
 
@@ -146,6 +151,93 @@ def test_kernel_integral_random_draws():
         for mode in ("forward", "backward"):
             out = lemma_kernel_integrals(C, lam_bar, sigma0, lam, t, T, mode)
             assert out["quadrature"] <= out["bound"] * (1.0 + 1e-9)
+
+
+def _exp_weighted_closed_form(C, lam_bar, sigma0, mu, t, T, mode):
+    """Integral over [t, T] of q_{s-t} exp(-mu s) (forward) or
+    q_{s-t} exp(-mu (T-s)) (backward), in closed form."""
+    span, knee = T - t, 1.0 / (2.0 * lam_bar)
+    pref = 1.0 / (np.sqrt(2.0 * np.pi) * C * sigma0)
+    amp = np.sqrt(lam_bar * np.e) / (np.sqrt(np.pi) * C * sigma0)
+    # early branch: integral of u^(-1/2) exp(-+mu u) over [0, a]
+    a = np.sqrt(mu * min(span, knee))
+    if mode == "forward":
+        lead, rate = np.exp(-mu * t), lam_bar + mu
+        early = np.sqrt(np.pi / mu) * erf(a)
+    else:
+        lead, rate = np.exp(-mu * (T - t)), lam_bar - mu
+        early = np.sqrt(np.pi / mu) * erfi(a)
+    total = pref * lead * early
+    if span > knee:   # late branch: exponential integral at rate lam_bar +- mu
+        total += (amp * lead * np.exp(-rate * knee)
+                  * -np.expm1(-rate * (span - knee)) / rate)
+    return total
+
+
+def test_q_weighted_integral_closed_form():
+    # the draws of test_kernel_integral_random_draws reach integrals of
+    # 1e-34: the quadrature must stay relatively accurate far below QUAD_TOL
+    rng = np.random.default_rng(23)
+    smallest = np.inf
+    for _ in range(100):
+        lam_bar = rng.uniform(0.05, 4.0)
+        mu = rng.uniform(0.0, 0.95) * lam_bar
+        C = rng.uniform(0.05, 0.5)
+        sigma0 = rng.uniform(0.3, 3.0)
+        t = rng.uniform(0.0, 2.0)
+        T = t + rng.uniform(0.0, 30.0)
+        weights = {"forward": lambda s: np.exp(-mu * s),
+                   "backward": lambda s: np.exp(-mu * (T - s))}
+        for mode, weight in weights.items():
+            exact = _exp_weighted_closed_form(C, lam_bar, sigma0, mu, t, T,
+                                              mode)
+            got = q_weighted_integral(C, lam_bar, sigma0, t, T, weight)
+            assert got == pytest.approx(exact, rel=1e-6), (mode, exact)
+            lemma = lemma_kernel_integrals(C, lam_bar, sigma0, mu, t, T, mode)
+            assert lemma["quadrature"] == pytest.approx(got, rel=1e-14)
+            smallest = min(smallest, exact)
+    assert smallest < 1e-30
+
+
+def test_gap_envelope_and_girsanov_closed_form():
+    # constant gap c: exp(-lam t) w0 + c (1 - exp(-lam t)) / lam, and the
+    # Girsanov term c sqrt((t - t0) / 2).  The 257-node trapezoid is exact
+    # for a constant integrand and overestimates a convex one by O(h^2), so
+    # both stay on the safe side of the exact bound
+    lam, w0, c = 0.5, 1.3, 0.2
+    for t in (0.0, 0.3, 2.0, 8.0):
+        expect = np.exp(-lam * t) * w0 + c * (1.0 - np.exp(-lam * t)) / lam
+        got = gap_envelope(lam, w0, lambda s: c, t)
+        assert expect * (1.0 - 1e-15) <= got <= expect * (1.0 + 3e-5)
+    assert girsanov_tv(lambda s: c, 1.0, 3.0) == pytest.approx(c, rel=1e-12)
+    got = girsanov_tv(lambda s: s, 0.0, 2.0)
+    assert np.sqrt(8.0 / 6.0) <= got <= np.sqrt(8.0 / 6.0) * (1.0 + 1e-5)
+
+
+def test_within_bound_slack():
+    assert within_bound(1.0 + 5e-10, 1.0)
+    assert not within_bound(1.0 + 2e-9, 1.0)
+    assert within_bound(5e-13, 0.0) and not within_bound(2e-12, 0.0)
+    assert within_bound(1e300, np.inf)
+    np.testing.assert_array_equal(within_bound([0.5, 2.0], [1.0, 1.0]),
+                                  [True, False])
+
+
+@given(kappa=st.floats(0.05, 5.0), sigma=st.floats(0.3, 3.0),
+       c_u=st.floats(0.0, 2.0), mode=st.sampled_from([None, "grad", "hess"]))
+def test_sandwich_and_concavity_property(kappa, sigma, c_u, mode):
+    # C r <= f <= r and f' non-increasing, between the table nodes and on
+    # the affine tail too, for constant and shifted class-K profiles
+    prof = constant_profile(kappa)
+    if mode is not None:
+        prof = shift_profile(prof, c_u, mode)
+    assume(prof.certification.is_K)
+    _, tm = _build_extending(prof, sigma)
+    r = np.linspace(0.0, 2.0 * tm.r_table[-1], 20001)
+    f, fp = tm.f(r), tm.fprime(r)
+    assert np.all(within_bound(f, r))
+    assert np.all(f >= tm.C * r * (1.0 - 1e-9) - 1e-12)
+    assert np.all(np.diff(fp) <= 1e-12)
 
 
 def test_kernel_integral_edge_cases():

@@ -26,7 +26,8 @@ from . import __version__
 from .errors import CertificationError, ConfigError, MfglabError
 from .model import (GaussianLaw, check_smallness, load_scenario,
                     probe_assumptions, scenario_path)
-from .metrics import check_differential_inequality, q_kernel, save_metric
+from .metrics import (check_differential_inequality, q_kernel, save_metric,
+                      within_band)
 from .couplings import CouplingConfig, moment_diagnostic, simulate_coupling
 from .control import hessian_ledger, lipschitz_ledger, pontryagin_residual
 from .mfg import (REPORT_RATE_FRACTION, frozen_ergodic, solve_ergodic_mfg,
@@ -131,9 +132,8 @@ def _metric_pipeline(sc, run):
                    max_residual=float(np.max(residuals)))
         rr2 = rng.uniform(1e-4, tm.profile.r_max * 0.98, 10_000)
         f, fp = tm.f(rr2), tm.fprime(rr2)
-        ok = (np.all(f <= rr2 * (1 + 1e-9) + 1e-12)
-              and np.all(f >= tm.C * rr2 * (1 - 1e-9) - 1e-12)
-              and np.all(fp <= 1 + 1e-9) and np.all(fp >= tm.C * (1 - 1e-9)))
+        ok = (np.all(within_band(f, tm.C * rr2, rr2))
+              and np.all(within_band(fp, tm.C, 1.0)))
         run.record(f"sandwich_{label}", bool(ok))
         knee = 1.0 / (2.0 * tm.lam)
         lo = q_kernel(tm.C, tm.lam, tm.sigma_check, knee * (1 - 1e-13))

@@ -25,7 +25,8 @@ roughly 1e-9 otherwise.
 This module also holds the package's only integrals against the coalescence
 kernel (q_weighted_integral) and against the exponential weight of a drift
 gap (gap_envelope, girsanov_tv), and within_bound, the one rule for a
-measurement within its certified bound.
+measurement within its certified bound (within_band applies it on both
+sides).
 """
 
 import json
@@ -376,6 +377,12 @@ def within_bound(measured, bound):
     """The one rule for a measurement within its certified bound: relative
     slack 1e-9 plus absolute 1e-12 (elementwise on arrays)."""
     return np.asarray(measured) <= np.asarray(bound) * (1.0 + 1e-9) + 1e-12
+
+
+def within_band(measured, lower, upper):
+    """lower <= measured <= upper, each side judged by within_bound's slack
+    (elementwise on arrays)."""
+    return within_bound(lower, measured) & within_bound(measured, upper)
 
 
 # ---------------------------------------------------------------------------

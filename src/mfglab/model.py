@@ -29,16 +29,29 @@ from .profiles import (MonotonicityProfile, constant_profile,
 
 @dataclass(frozen=True)
 class GridDensity:
+    """Densities on the nodes x, integrated by the trapezoid rule.
+
+    p has shape (n,) for one density or (S, n) for S slices of a flow on the
+    same nodes; the slice axis is leading, so mean() returns a float or an
+    (S,) array and convolve() an (n_at,) or (S, n_at) array.  A batch builds
+    the convolution kernel once for all its slices.
+    """
     x: np.ndarray
     p: np.ndarray
 
     def mean(self):
-        return float(np.trapezoid(self.x * self.p, self.x))
+        m = np.trapezoid(self.x * self.p, self.x, axis=-1)
+        return float(m) if m.ndim == 0 else m
 
     def convolve(self, kernel, at):
         at = np.asarray(at, dtype=float)
-        vals = kernel(at[:, None] - self.x[None, :])
-        return np.trapezoid(vals * self.p[None, :], self.x, axis=1)
+        # trapezoid weights 1/2 (d_{j-1} + d_j), folded into the kernel's
+        # columns; einsum keeps the contraction off BLAS, whose summation
+        # order (and so the last bits) depends on its thread count
+        d = np.diff(self.x)
+        w = 0.5 * (np.append(d, 0.0) + np.insert(d, 0, 0.0))
+        kw = kernel(at[:, None] - self.x[None, :]) * w
+        return np.einsum("...j,aj->...a", self.p, kw)
 
 
 @dataclass(frozen=True)
@@ -234,11 +247,14 @@ def no_interaction():
 
 
 def mean_interaction(c, mean_bound=1.0):
-    """F(mu, x) = c * x * mean(mu); constants declared on |mean| <= bound."""
+    """F(mu, x) = c * x * mean(mu); constants declared on |mean| <= bound.
+
+    A batch of S densities gives one row per slice, shape (S, n)."""
     c = float(c)
 
     def value(mu, x):
-        return c * np.asarray(x, dtype=float) * mu.mean()
+        m = mu.mean()
+        return c * np.asarray(x, dtype=float) * (m[:, None] if np.ndim(m) else m)
 
     return InteractionSpec(kind="mean", value=value,
                            C_x_F=abs(c) * mean_bound, C_xmu_F=abs(c),
@@ -783,7 +799,14 @@ def _scenario_from_raw(raw) -> Scenario:
     if it["kind"] == "none":
         inter = no_interaction()
     elif it["kind"] == "mean":
-        inter = mean_interaction(it["c"], it.get("mean_bound", 1.0))
+        mean_bound = it.get("mean_bound", 1.0)
+        # C_x_F = |c| mean_bound holds only while |mean(mu)| <= mean_bound,
+        # so an initial law outside the bound would be certified on an
+        # understated constant
+        if abs(raw["mu0"]["mean"]) > mean_bound:
+            raise ConfigError(f"mu0.mean {raw['mu0']['mean']!r} lies outside "
+                              f"interaction.mean_bound {mean_bound!r}")
+        inter = mean_interaction(it["c"], mean_bound)
     elif it["kind"] == "conv_tanh":
         inter = conv_tanh_interaction(it["c"])
     else:

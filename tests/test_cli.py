@@ -84,6 +84,34 @@ def test_turnpike_repeat_determinism(quick_mean_scenario, tmp_path):
     assert csv_a == csv_b
 
 
+def test_double_well_turnpike_repeat_determinism(tmp_path):
+    """A coarse double-well turnpike (conv-tanh interaction, T = 8) writes
+    the same turnpike.csv and summary.json twice."""
+    raw = json.loads(scenario_path("double_well_small").read_text())
+    raw["grid"] = {"x_min": -4.0, "x_max": 4.0, "n_x": 101, "dt": 1e-3}
+    raw["horizon"] = 8.0
+    sc = tmp_path / "quick_dw.json"
+    sc.write_text(json.dumps(raw))
+    out = []
+    for tag in ("a", "b"):
+        assert main(["turnpike", "--scenario", str(sc),
+                     "--out", str(tmp_path / tag)]) == 0
+        run = tmp_path / tag / "double_well_small-turnpike"
+        out.append([(run / name).read_bytes()
+                    for name in ("turnpike.csv", "summary.json")])
+    assert out[0] == out[1]
+
+
+def test_mu0_outside_mean_bound_exit_2(tmp_path, capsys):
+    raw = json.loads(scenario_path("lq_mean").read_text())
+    raw["mu0"]["mean"] = 5.0
+    bad = tmp_path / "far_mean.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["check", "--scenario", str(bad), "--out",
+                 str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error (config): mu0.mean")
+
+
 def test_repeat_run_bitwise_identical(quick_mean_scenario, tmp_path):
     for tag in ("r1", "r2"):
         assert main(["mfg", "--scenario", str(quick_mean_scenario),

@@ -13,7 +13,7 @@ from mfglab.metrics import (build_twisted_metric, build_quadratic_metric,
                             check_differential_inequality, gap_envelope,
                             girsanov_tv, q_kernel, q_weighted_integral,
                             lemma_kernel_integrals, save_metric, load_metric,
-                            within_bound)
+                            within_band, within_bound)
 from mfglab.model import _build_extending
 
 
@@ -221,6 +221,10 @@ def test_within_bound_slack():
     assert within_bound(1e300, np.inf)
     np.testing.assert_array_equal(within_bound([0.5, 2.0], [1.0, 1.0]),
                                   [True, False])
+    # within_band applies the same slack on both sides
+    np.testing.assert_array_equal(
+        within_band([0.5 - 2e-10, 0.5 - 2e-9, 1.0 + 5e-10, 1.0 + 2e-9],
+                    0.5, 1.0), [True, False, True, False])
 
 
 @given(kappa=st.floats(0.05, 5.0), sigma=st.floats(0.3, 3.0),

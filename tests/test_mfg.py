@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mfglab
 from mfglab import mfg
 from mfglab.control import optimal_flow, solve_hjb, stationary_density_cc
 from mfglab.distances import f_norm, w1_grid
@@ -129,6 +135,40 @@ def test_newton_keeps_the_cfl_guard():
     sc = load_scenario("lq", {"grid.n_x": 41, "grid.dt": 0.05})
     with pytest.raises(NumericalError, match=r"CFL guard at t=1\b"):
         solve_ergodic_mfg(sc, force=True)
+
+
+_SOURCE_TABLE_HASH = """
+import hashlib
+import numpy as np
+from mfglab import mfg
+from mfglab.control import solve_fokker_planck
+from mfglab.model import load_scenario
+sc = load_scenario("double_well_small", {"horizon": 0.5})
+flow = solve_fokker_planck(sc.grid, sc.T, sc.diffusion,
+                           lambda t, x: sc.drift.b(x),
+                           sc.mu0.density(sc.grid.xs))
+source = mfg._interaction_source(sc, flow)
+table = np.stack([source(t, sc.grid.xs) for t in flow.times])
+print(table.shape, hashlib.sha256(table.tobytes()).hexdigest())
+"""
+
+
+def test_interaction_source_ignores_blas_threads():
+    """The conv-tanh source table has the same bytes at 1 and 2 BLAS
+    threads: its contraction does not go through BLAS, whose summation
+    order depends on the thread count."""
+    src_dir = str(Path(mfglab.__file__).resolve().parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=src_dir)
+        proc = subprocess.run([sys.executable, "-c", _SOURCE_TABLE_HASH],
+                              env=env, capture_output=True, text=True,
+                              timeout=300, check=True)
+        out.append(proc.stdout.strip())
+    assert out[0].startswith("(2001, 401) ")
+    assert out[0] == out[1]
 
 
 def test_frozen_solve_no_interaction_reduces(lq_mean_quick):

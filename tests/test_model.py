@@ -3,11 +3,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mfglab.errors import ConfigError
 from mfglab.model import (CATALOG_DIR, GaussianLaw, GridDensity,
                           ParticleCloud, Grid1D, Scenario, check_smallness,
-                          constant_diffusion, hamiltonian, linear_drift,
+                          constant_diffusion, conv_tanh_interaction,
+                          hamiltonian, linear_drift,
                           load_scenario, mean_interaction, no_interaction,
                           policy, policy_gap_bound, probe_assumptions,
                           quadratic_cost, sigma_bar, varying_diffusion,
@@ -276,6 +279,66 @@ def test_interaction_accepts_both_representations():
         ParticleCloud(law.sample(200_000, np.random.default_rng(0))), xs)
     assert np.allclose(grid_val, 0.1 * xs * 0.8, atol=1e-3)
     assert np.allclose(cloud_val, grid_val, atol=2e-3)
+
+
+@st.composite
+def density_batches(draw):
+    """S non-negative densities on n nodes, uniform or not, any span."""
+    S = draw(st.integers(1, 7))
+    n = draw(st.integers(2, 64))
+    x_min = draw(st.floats(-20.0, 5.0))
+    span = draw(st.floats(0.1, 30.0))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        x = np.linspace(x_min, x_min + span, n)
+    else:
+        x = x_min + span * np.sort(rng.random(n))
+        x[0], x[-1] = x_min, x_min + span
+    p = rng.random((S, n)) * draw(st.floats(1e-3, 1e3))
+    p[rng.random((S, n)) < 0.2] = 0.0
+    return x, p
+
+
+@given(density_batches())
+def test_batched_density_matches_rows(batch):
+    x, p = batch
+    mu = GridDensity(x, p)
+    rows = [GridDensity(x, row) for row in p]
+    # the mean of a batch is the mean of each row, bit for bit
+    assert np.array_equal(mu.mean(), [r.mean() for r in rows])
+    inter = conv_tanh_interaction(0.7)
+    at = np.linspace(x[0] - 1.0, x[-1] + 1.0, 2 * len(x) + 1)
+    got = inter.value(mu, at)
+    ref = np.stack([0.7 * np.trapezoid(np.tanh(at[:, None] - x[None, :])
+                                       * row[None, :], x, axis=1)
+                    for row in p])
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # one row alone keeps the unbatched shape
+    assert inter.value(rows[0], at).shape == (len(at),)
+    calls = []
+
+    def kernel(d):
+        calls.append(d.shape)
+        return np.tanh(d)
+
+    mu.convolve(kernel, at)
+    assert calls == [(len(at), len(x))]
+    # a mean interaction keeps its per-row bytes in a batch
+    mean = mean_interaction(0.2)
+    assert np.array_equal(mean.value(mu, at),
+                          np.stack([mean.value(r, at) for r in rows]))
+
+
+def test_mu0_outside_the_mean_bound_is_rejected():
+    with pytest.raises(ConfigError, match="mean_bound"):
+        load_scenario("lq_mean", {"mu0.mean": 5.0})
+    with pytest.raises(ConfigError, match="mean_bound"):
+        load_scenario("lq_mean", {"mu0.mean": -0.6,
+                                  "interaction.mean_bound": 0.5})
+    # the bound itself is inside
+    assert load_scenario("lq_mean", {"mu0.mean": -1.0}).mu0.mean == -1.0
 
 
 def test_grid_span_guard():

@@ -6,6 +6,12 @@ tridiagonal solve, explicit Hamiltonian) with second-order gradients that
 switch to one-sided differences when the cell Peclet number exceeds one; the
 Fokker-Planck solver is a conservative exponential-fitting finite-volume
 scheme with no-flux boundaries, theta time stepping and an implicit startup.
+
+Each theta step of the density is one tridiagonal solve: with h = dt,
+(I - th h A)^-1 (I + (1 - th) h A) = th^-1 (I - th h A)^-1 - ((1 - th)/th) I,
+so m_{k+1} = (y - (1 - th) m_k) / th where (I - th h A) y = m_k.  Both
+solvers assemble what does not depend on the iterate once per block of
+steps: the density's implicit bands, and the value's interaction source.
 """
 
 from dataclasses import dataclass, field
@@ -155,9 +161,9 @@ class ValueFunction:
 
     def grad_at(self, t):
         """Time-interpolated gradient field, held constant outside the
-        stored times; a 1-D array of times gives one row per time."""
+        stored times; an array of times gives one row per time."""
         ts = self.times
-        tt = np.atleast_1d(np.asarray(t, dtype=float))
+        tt = np.ravel(np.asarray(t, dtype=float))
         i = np.clip(np.searchsorted(ts, tt), 1, len(ts) - 1)
         w = np.clip((tt - ts[i - 1]) / (ts[i] - ts[i - 1]), 0.0, 1.0)
         w = w[:, None]
@@ -176,14 +182,20 @@ class MeasureFlow:
     densities: np.ndarray    # (n_times, n_x)
 
     def at(self, t):
-        ts = self.times
-        if t <= ts[0]:
-            return self.densities[0]
-        if t >= ts[-1]:
-            return self.densities[-1]
-        i = int(np.searchsorted(ts, t))
-        w = (t - ts[i - 1]) / (ts[i] - ts[i - 1])
-        return (1.0 - w) * self.densities[i - 1] + w * self.densities[i]
+        """Density linearly interpolated in time, equal to the first or last
+        slice outside the stored times; an array of times gives one row per
+        time, each equal to the row at that scalar time."""
+        ts, d = self.times, self.densities
+        tt = np.ravel(np.asarray(t, dtype=float))
+        i = np.clip(np.searchsorted(ts, tt), 1, len(ts) - 1)
+        # with one stored time the weights are 0/0, but every row is then
+        # an end row, set below
+        with np.errstate(all="ignore"):
+            w = ((tt - ts[i - 1]) / (ts[i] - ts[i - 1]))[:, None]
+            out = (1.0 - w) * d[i - 1] + w * d[i]
+        out[tt <= ts[0]] = d[0]
+        out[tt >= ts[-1]] = d[-1]
+        return out if np.ndim(t) else out[0]
 
     def mean(self):
         return np.trapezoid(self.xs[None, :] * self.densities, self.xs, axis=1)
@@ -210,6 +222,13 @@ def _store_plan(n_steps, max_slices=_MAX_SLICES):
     return np.array(idx, dtype=int)
 
 
+# Steps whose coefficients (the density's bands, the value's source) are
+# assembled together.  The block's arrays are the solvers' only temporaries
+# beyond one iterate, so this bounds their working set independently of the
+# horizon.
+_BLOCK = 64
+
+
 # ---------------------------------------------------------------------------
 # backward HJB
 
@@ -219,8 +238,12 @@ def solve_hjb(grid: Grid1D, T, diffusion: DiffusionSpec, drift_b: Callable,
     """Backward semi-implicit solve of the value-function PDE.
 
     source(t, xs) is the frozen interaction term added to the running cost.
-    The terminal slice equals terminal_values; boundary rows carry no
-    diffusion (linear extrapolation of the value).
+    It is called once per block of _BLOCK steps with t a column of step
+    times k dt, shape (B, 1), for k = n_steps, ..., 1 in the order the steps
+    take them, and must return an array that broadcasts to (B, len(xs)); a
+    source that does not depend on time may return shape (len(xs),).  The
+    terminal slice equals terminal_values; boundary rows carry no diffusion
+    (linear extrapolation of the value).
     """
     xs = grid.xs
     dx = grid.dx
@@ -259,7 +282,12 @@ def solve_hjb(grid: Grid1D, T, diffusion: DiffusionSpec, drift_b: Callable,
             break
         ham = cost.L(xs, w) + a * g
         if source is not None:
-            ham += source(t, xs)
+            r = (n_steps - k) % _BLOCK
+            if r == 0:
+                ks = np.arange(k, max(k - _BLOCK, 0), -1)
+                src = np.broadcast_to(source((ks * dt)[:, None], xs),
+                                      (len(ks), len(xs)))
+            ham += src[r]
         rhs = phi + dt * ham
         phi = solver.solve(rhs)
         phi_max = np.abs(phi).max()       # NaN or inf if any entry is
@@ -275,10 +303,6 @@ def solve_hjb(grid: Grid1D, T, diffusion: DiffusionSpec, drift_b: Callable,
 # ---------------------------------------------------------------------------
 # forward Fokker-Planck (conservative exponential fitting)
 
-# Steps whose coefficients are assembled together.  The block's arrays are
-# the solver's only temporaries beyond one density, so this bounds its
-# working set independently of the horizon.
-_FP_BLOCK = 64
 _RANNACHER_STEPS = 2    # fully implicit start-up steps of the density solve
 _MASS_TOL = 1e-6        # mass drift that aborts a density solve
 
@@ -326,10 +350,15 @@ def solve_fokker_planck(grid: Grid1D, T, diffusion: DiffusionSpec,
     """Forward conservative solve of the marginal-flow PDE.
 
     beta(t, xs) is the full drift of the controlled state at the cell
-    faces xs.  It is called once per block of steps with t a column of
-    step times, shape (B, 1), and must return an array that broadcasts to
-    (B, len(xs)); a drift that does not depend on time may return shape
-    (len(xs),).  Mass is conserved by construction up to solver roundoff;
+    faces xs.  It is called once per block of _BLOCK steps with t a column
+    of step midpoint times, shape (B, 1), and must return an array that
+    broadcasts to (B, len(xs)); a drift that does not depend on time may
+    return shape (len(xs),), and its generator is then assembled once per
+    block.  Each theta step is one tridiagonal solve: (I - th dt A) y = m_k,
+    then m_{k+1} = (y - (1 - th) m_k) / th, which is
+    (I - th dt A)^-1 (I + (1 - th) dt A) m_k since both factors are
+    polynomials in A; the first _RANNACHER_STEPS steps take th = 1, so
+    m_{k+1} = y.  Mass is conserved by construction up to solver roundoff;
     a drift beyond _MASS_TOL aborts the run.
     """
     xs = grid.xs
@@ -351,20 +380,23 @@ def solve_fokker_planck(grid: Grid1D, T, diffusion: DiffusionSpec,
     if 0 in store_set:
         out[store_set[0]] = m
 
-    for k0 in range(0, n_steps, _FP_BLOCK):
-        ks = np.arange(k0, min(k0 + _FP_BLOCK, n_steps))
+    for k0 in range(0, n_steps, _BLOCK):
+        ks = np.arange(k0, min(k0 + _BLOCK, n_steps))
         t_mid = ((ks + 0.5) * dt)[:, None]
         beta_mid = np.asarray(beta(t_mid, x_mid), dtype=float) - Dp_mid
-        beta_mid = np.broadcast_to(beta_mid, (len(ks), len(x_mid)))
         sub, diag, sup = _cc_matrix(beta_mid, D_mid, dx)
-        # theta stepping: (I - th dt A) m_{k+1} = (I + (1 - th) dt A) m_k,
-        # fully implicit for the first _RANNACHER_STEPS steps
-        th = np.where(ks < _RANNACHER_STEPS, 1.0, theta)[:, None]
-        ex, im = (1.0 - th) * dt, th * dt
-        explicit = zip(ex * sub, 1.0 + ex * diag, ex * sup)
+        # theta stepping, fully implicit for the first _RANNACHER_STEPS
+        # steps; the bands of I - th dt A are the solver's workspace
+        th = np.where(ks < _RANNACHER_STEPS, 1.0, theta)
+        im = (th * dt)[:, None]
         implicit = zip(-im * sub, 1.0 - im * diag, -im * sup)
-        for k, ex_k, im_k in zip(ks.tolist(), explicit, implicit):
-            m = tridiag_solve(*im_k, _apply_tridiag(*ex_k, m))
+        for k, th_k, im_k in zip(ks.tolist(), th.tolist(), implicit):
+            y = tridiag_solve(*im_k, m.copy())
+            if th_k != 1.0:
+                m *= 1.0 - th_k
+                y -= m
+                y /= th_k
+            m = y
             total = m.sum()
             if not np.isfinite(total):        # NaN or inf if any entry is
                 raise NumericalError(f"density blew up at t={(k + 1) * dt:g}")
@@ -382,13 +414,6 @@ def solve_fokker_planck(grid: Grid1D, T, diffusion: DiffusionSpec,
             if (k + 1) in store_set:
                 out[store_set[k + 1]] = m
     return MeasureFlow(times=store * dt, xs=xs, densities=out)
-
-
-def _apply_tridiag(sub, diag, sup, v):
-    out = diag * v
-    out[:-1] += sup * v[1:]
-    out[1:] += sub * v[:-1]
-    return out
 
 
 def stationary_density_cc(grid: Grid1D, diffusion: DiffusionSpec, beta_fn):
@@ -411,15 +436,16 @@ def optimal_flow(value: ValueFunction, scenario: Scenario,
     """Forward flow of the state controlled by the solved value function."""
     b = scenario.drift.b
     cost = scenario.running_cost
+    xs = value.xs
+    x_lo, dxs = xs[:-1], xs[1:] - xs[:-1]
 
     def beta(t, x):
         # gradient slices in time on the nodes (one row per step of the
-        # block), then onto the faces x with np.interp's formula
-        g_nodes = value.grad_at(np.ravel(t))
-        xs = value.xs
-        j = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
-        g_lo = g_nodes[:, j]
-        g = (g_nodes[:, j + 1] - g_lo) / (xs[j + 1] - xs[j]) * (x - xs[j])
+        # block), then onto the faces x with np.interp's formula; the faces
+        # are the cell midpoints, so face i lies between nodes i and i + 1
+        g_nodes = value.grad_at(t)
+        g_lo = g_nodes[:, :-1]
+        g = (g_nodes[:, 1:] - g_lo) / dxs * (x - x_lo)
         g += g_lo
         return np.asarray(b(x), dtype=float) + policy(cost, x, g)
 

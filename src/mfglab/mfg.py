@@ -73,7 +73,10 @@ def _interaction_source(scenario: Scenario, flow: Optional[MeasureFlow]):
     go to the interaction as one batched GridDensity: a convolution builds
     its kernel once and contracts it with every slice in one product,
     instead of one kernel build and one quadrature per slice.  The solver
-    evaluates the term on the scenario grid only.
+    evaluates the term on the scenario grid only, once per block of steps:
+    t is then a column of step times, and the source returns one
+    interpolated row per time (MeasureFlow.at), each equal to the row at
+    that scalar time.
     """
     inter = scenario.interaction
     if inter.kind == "none" or flow is None:

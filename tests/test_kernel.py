@@ -1,14 +1,14 @@
-"""Property tests of the tridiagonal kernel and the blocked density solver."""
+"""Property tests of the tridiagonal kernel and the blocked solvers."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mfglab.control import (_FP_BLOCK, TridiagLU, ValueFunction,
+from mfglab.control import (_BLOCK, MeasureFlow, TridiagLU, ValueFunction,
                             apply_bands, gradient_bands,
                             gradient_second_order, optimal_flow,
-                            solve_fokker_planck, tridiag_solve,
+                            solve_fokker_planck, solve_hjb, tridiag_solve,
                             upwind_gradient)
 from mfglab.errors import NumericalError
 from mfglab.model import (Grid1D, constant_diffusion, load_scenario, policy,
@@ -146,7 +146,7 @@ def dense_fp_reference(grid, diffusion, beta, m0, n_steps, theta, rannacher):
 def test_blocked_fp_matches_dense_per_step(theta):
     # n_steps crosses a block boundary; the first two steps are implicit
     grid = Grid1D(-3.0, 3.0, 41, 1e-3)
-    n_steps = _FP_BLOCK + 3
+    n_steps = _BLOCK + 3
     diffusion = varying_diffusion(lambda x: 1.0 + 0.2 * np.tanh(x), 0.5,
                                   0.5, 0.2)
 
@@ -159,6 +159,98 @@ def test_blocked_fp_matches_dense_per_step(theta):
     ref = dense_fp_reference(grid, diffusion, beta, m0, n_steps, theta, 2)
     assert flow.densities.shape == ref.shape
     assert np.max(np.abs(flow.densities - ref)) <= 1e-12 * np.max(ref)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n_x=st.integers(5, 40),
+       theta=st.sampled_from([0.5, 1.0]), steady=st.booleans())
+def test_one_solve_theta_step_matches_dense(seed, n_x, theta, steady):
+    # random generators: random drift (steady or time-dependent), diffusion
+    # and initial density on a random grid size
+    rng = np.random.default_rng(seed)
+    grid = Grid1D(-3.0, 3.0, n_x, 1e-3)
+    n_steps = 12
+    c = rng.uniform(-2.0, 2.0, 4)
+    amp = rng.uniform(0.0, 0.4)
+    diffusion = varying_diffusion(lambda x: 1.0 + amp * np.tanh(c[3] * x),
+                                  0.4, 1.0, 0.4 * abs(c[3]))
+
+    def beta(t, x):
+        still = c[0] * x + c[1] * np.sin(x)
+        return still if steady else still + c[2] * np.cos(40.0 * t + x)
+
+    m0 = rng.uniform(0.0, 1.0, n_x)
+    flow = solve_fokker_planck(grid, n_steps * grid.dt, diffusion, beta, m0,
+                               theta=theta)
+    ref = dense_fp_reference(grid, diffusion, beta, m0, n_steps, theta, 2)
+    assert flow.densities.shape == ref.shape
+    assert np.max(np.abs(flow.densities - ref)) <= 1e-12 * np.max(ref)
+    mass = flow.densities.sum(axis=1) * grid.dx
+    assert np.max(np.abs(np.diff(mass))) <= 1e-12
+
+
+def scalar_at(flow, t):
+    """Linear interpolation of one stored density row at the time t."""
+    ts = flow.times
+    if t <= ts[0]:
+        return flow.densities[0]
+    if t >= ts[-1]:
+        return flow.densities[-1]
+    i = int(np.searchsorted(ts, t))
+    w = (t - ts[i - 1]) / (ts[i] - ts[i - 1])
+    return (1.0 - w) * flow.densities[i - 1] + w * flow.densities[i]
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n_times=st.integers(1, 30),
+       n_extra=st.integers(0, 20))
+def test_measure_flow_at_array_matches_scalar(seed, n_times, n_extra):
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(np.concatenate([[0.0],
+                                      rng.uniform(1e-3, 1.0, n_times - 1)]))
+    T = times[-1]
+    dens = rng.uniform(0.0, 1.0, (n_times, 9))
+    flow = MeasureFlow(times=times, xs=np.arange(9.0), densities=dens)
+    ts = np.concatenate([[0.0, T], times,
+                         rng.uniform(-0.5, T + 0.5, n_extra)])
+    rng.shuffle(ts)
+    rows = flow.at(ts)
+    stacked = np.stack([flow.at(float(s)) for s in ts])
+    reference = np.stack([scalar_at(flow, float(s)) for s in ts])
+    assert rows.shape == (len(ts), 9)
+    assert rows.tobytes() == stacked.tobytes() == reference.tobytes()
+    # a column of times, as the value solver passes them, gives the rows
+    assert flow.at(ts[:, None]).tobytes() == rows.tobytes()
+    np.testing.assert_array_equal(flow.at(times), dens)
+
+
+def test_hjb_block_source_matches_per_step_rows():
+    # n_steps crosses two block boundaries and ends inside a block
+    sc = load_scenario("ou", {"grid.n_x": 61, "grid.dt": 1e-3})
+    grid, xs = sc.grid, sc.grid.xs
+    n_steps = 2 * _BLOCK + 5
+    T = n_steps * grid.dt
+    rng = np.random.default_rng(5)
+    times = np.linspace(0.0, T, 11)
+    table = MeasureFlow(times=times, xs=xs,
+                        densities=rng.normal(size=(len(times), len(xs))))
+    seen = []
+
+    def block(t, x):
+        seen.append(np.array(t))
+        return table.at(t)
+
+    def per_row(t, x):
+        return np.stack([table.at(float(s)) for s in np.ravel(t)])
+
+    g = 0.1 * xs ** 2
+    blocked = solve_hjb(grid, T, sc.diffusion, sc.drift.b, sc.running_cost,
+                        g, source=block)
+    rows = solve_hjb(grid, T, sc.diffusion, sc.drift.b, sc.running_cost, g,
+                     source=per_row)
+    np.testing.assert_array_equal(blocked.phi, rows.phi)
+    np.testing.assert_array_equal(blocked.grad, rows.grad)
+    assert all(t.ndim == 2 and t.shape[1] == 1 for t in seen)
+    np.testing.assert_array_equal(np.concatenate(seen).ravel(),
+                                  np.arange(n_steps, 0, -1) * grid.dt)
 
 
 def test_optimal_flow_matches_per_step_interpolation():

@@ -146,6 +146,22 @@ def hessian_interior(phi, dx):
 # ---------------------------------------------------------------------------
 # solution containers
 
+def _rows_at(ts, rows, t):
+    """Rows stored at the times ts, linearly interpolated in time and equal
+    to the first or last row outside them; an array of times gives one row
+    per time."""
+    tt = np.ravel(np.asarray(t, dtype=float))
+    i = np.clip(np.searchsorted(ts, tt), 1, len(ts) - 1)
+    # with one stored time the weights are 0/0, but every row is then an
+    # end row, set below
+    with np.errstate(all="ignore"):
+        w = ((tt - ts[i - 1]) / (ts[i] - ts[i - 1]))[:, None]
+        out = (1.0 - w) * rows[i - 1] + w * rows[i]
+    out[tt <= ts[0]] = rows[0]
+    out[tt >= ts[-1]] = rows[-1]
+    return out if np.ndim(t) else out[0]
+
+
 @dataclass
 class ValueFunction:
     times: np.ndarray
@@ -162,13 +178,7 @@ class ValueFunction:
     def grad_at(self, t):
         """Time-interpolated gradient field, held constant outside the
         stored times; an array of times gives one row per time."""
-        ts = self.times
-        tt = np.ravel(np.asarray(t, dtype=float))
-        i = np.clip(np.searchsorted(ts, tt), 1, len(ts) - 1)
-        w = np.clip((tt - ts[i - 1]) / (ts[i] - ts[i - 1]), 0.0, 1.0)
-        w = w[:, None]
-        g = (1.0 - w) * self.grad[i - 1] + w * self.grad[i]
-        return g if np.ndim(t) else g[0]
+        return _rows_at(self.times, self.grad, t)
 
     def hess(self, i):
         dx = self.xs[1] - self.xs[0]
@@ -185,17 +195,7 @@ class MeasureFlow:
         """Density linearly interpolated in time, equal to the first or last
         slice outside the stored times; an array of times gives one row per
         time, each equal to the row at that scalar time."""
-        ts, d = self.times, self.densities
-        tt = np.ravel(np.asarray(t, dtype=float))
-        i = np.clip(np.searchsorted(ts, tt), 1, len(ts) - 1)
-        # with one stored time the weights are 0/0, but every row is then
-        # an end row, set below
-        with np.errstate(all="ignore"):
-            w = ((tt - ts[i - 1]) / (ts[i] - ts[i - 1]))[:, None]
-            out = (1.0 - w) * d[i - 1] + w * d[i]
-        out[tt <= ts[0]] = d[0]
-        out[tt >= ts[-1]] = d[-1]
-        return out if np.ndim(t) else out[0]
+        return _rows_at(self.times, self.densities, t)
 
     def mean(self):
         return np.trapezoid(self.xs[None, :] * self.densities, self.xs, axis=1)

@@ -17,10 +17,13 @@ certified differential inequality
 
     2 sigma_check^2 f'' - r kappa(r) f' <= -lam f       on (0, infinity).
 
-Every integral is adaptive Simpson between table nodes; between nodes the
-cumulative quantities are monotone-cubic interpolated, so evaluation is
-closed-form-exact for piecewise-constant negative parts and accurate to
-roughly 1e-9 otherwise.
+Every integral of the chain is cumulative Simpson on an uneven radius
+table; between nodes the cumulative quantities are read by the monotone
+cubic (PCHIP) interpolant _quad.Pchip, so evaluation is closed-form-exact
+for piecewise-constant negative parts and accurate to roughly 1e-9
+otherwise.  The table integrals and the interpolant give the same bits as
+scipy's cumulative_simpson and PchipInterpolator, and Z is audited by
+adaptive Simpson on the interpolated integrand.
 
 This module also holds the package's only integrals against the coalescence
 kernel (q_weighted_integral) and against the exponential weight of a drift
@@ -34,10 +37,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
-from scipy.interpolate import PchipInterpolator
 
-from ._quad import QUAD_TOL, adaptive_simpson, bisect_root
+from ._quad import (QUAD_TOL, Pchip, adaptive_simpson, bisect_root,
+                    cumulative_simpson, simpson)
 from .errors import CertificationError, ConfigError, NumericalError
 from .profiles import MonotonicityProfile
 
@@ -60,10 +62,10 @@ class TwistedMetric:
     quad_tol: float
     degenerate: bool = False
     # cumulative tables backing evaluation and the analytic second derivative
-    _I: Optional[PchipInterpolator] = None
-    _Phi: Optional[PchipInterpolator] = None
-    _fi: Optional[PchipInterpolator] = None
-    _fpi: Optional[PchipInterpolator] = None
+    _I: Optional[Pchip] = None
+    _Phi: Optional[Pchip] = None
+    _fi: Optional[Pchip] = None
+    _fpi: Optional[Pchip] = None
 
     # -- evaluation ---------------------------------------------------------
     def f(self, r):
@@ -141,11 +143,6 @@ def _table_nodes(profile, R0, R1):
     return np.unique(np.concatenate([coarse, fine]))
 
 
-def _cumsimp(y, x):
-    """Cumulative composite Simpson along a (possibly nonuniform) grid."""
-    return cumulative_simpson(y, x=x, initial=0.0)
-
-
 def build_twisted_metric(profile: MonotonicityProfile,
                          sigma_check) -> TwistedMetric:
     """Construct the twisted metric of a certified class-K profile."""
@@ -167,8 +164,8 @@ def build_twisted_metric(profile: MonotonicityProfile,
 
     nodes = _table_nodes(profile, R0, R1)
     neg = np.maximum(nodes, 1e-300) * profile.negative_part_at(nodes)
-    I_nodes = _cumsimp(neg, nodes)
-    I_interp = PchipInterpolator(nodes, I_nodes, extrapolate=True)
+    I_nodes = cumulative_simpson(neg, nodes)
+    I_interp = Pchip(nodes, I_nodes)
 
     if -I_nodes[-1] / sig2 < _LOG_DEGENERATE:
         zeros = np.zeros_like(nodes)
@@ -179,18 +176,18 @@ def build_twisted_metric(profile: MonotonicityProfile,
                              _I=I_interp, _Phi=None)
 
     phi_nodes = np.exp(-I_nodes / sig2)
-    Phi_nodes = _cumsimp(phi_nodes, nodes)
-    Phi_interp = PchipInterpolator(nodes, Phi_nodes, extrapolate=True)
+    Phi_nodes = cumulative_simpson(phi_nodes, nodes)
+    Phi_interp = Pchip(nodes, Phi_nodes)
 
     head = nodes <= R1
     ratio_head = Phi_nodes[head] * np.exp(I_nodes[head] / sig2)
-    Psi_head = _cumsimp(ratio_head, nodes[head])
+    Psi_head = cumulative_simpson(ratio_head, nodes[head])
     Z = float(Psi_head[-1])
     Psi_nodes = np.full_like(nodes, Z)
     Psi_nodes[head] = Psi_head
     # audit pass: adaptive Simpson on the interpolated ratio must agree
-    ratio_interp = PchipInterpolator(nodes[head], ratio_head, extrapolate=True)
-    Z_audit = adaptive_simpson(lambda s: float(ratio_interp(s)), 0.0, R1,
+    ratio_interp = Pchip(nodes[head], ratio_head)
+    Z_audit = adaptive_simpson(ratio_interp, 0.0, R1,
                                tol=QUAD_TOL * max(1.0, Z))
     if abs(Z_audit - Z) > 1e-6 * max(1.0, Z):
         raise CertificationError(f"quadrature disagreement on Z: {Z:g} vs {Z_audit:g}")
@@ -201,14 +198,14 @@ def build_twisted_metric(profile: MonotonicityProfile,
     C = 0.5 * float(np.exp(-I_nodes[-1] / sig2))
     g_nodes = 1.0 - np.minimum(Psi_nodes, Z) / (2.0 * Z)
     fp_nodes = phi_nodes * g_nodes
-    f_nodes = _cumsimp(fp_nodes, nodes)
+    f_nodes = cumulative_simpson(fp_nodes, nodes)
 
     tm = TwistedMetric(profile=profile, sigma_check=sigma_check,
                        R0=R0, R1=R1, Z=Z, lam=lam, C=C,
                        r_table=nodes, f_table=f_nodes, fprime_table=fp_nodes,
                        quad_tol=QUAD_TOL, _I=I_interp, _Phi=Phi_interp,
-                       _fi=PchipInterpolator(nodes, f_nodes),
-                       _fpi=PchipInterpolator(nodes, fp_nodes))
+                       _fi=Pchip(nodes, f_nodes),
+                       _fpi=Pchip(nodes, fp_nodes))
     _check_invariants(tm)
     return tm
 
@@ -316,7 +313,7 @@ def _scaled_simpson(fn, a, b):
     relatively.
     """
     xs = np.linspace(a, b, 257)
-    scale = abs(simpson([fn(x) for x in xs], x=xs))
+    scale = abs(simpson([fn(x) for x in xs], xs))
     tol = max(QUAD_TOL * max(scale, 1e-30), 1e-280)
     return adaptive_simpson(fn, a, b, tol, rel=1e-9)
 
@@ -503,5 +500,5 @@ def load_metric(csv_path, json_path=None) -> TwistedMetric:
                          lam=header["lambda"], C=header["C"],
                          r_table=arr[:, 0], f_table=arr[:, 1],
                          fprime_table=arr[:, 2], quad_tol=header["quad_tol"],
-                         _fi=PchipInterpolator(arr[:, 0], arr[:, 1]),
-                         _fpi=PchipInterpolator(arr[:, 0], arr[:, 2]))
+                         _fi=Pchip(arr[:, 0], arr[:, 1]),
+                         _fpi=Pchip(arr[:, 0], arr[:, 2]))

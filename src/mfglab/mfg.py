@@ -18,7 +18,6 @@ from typing import Optional
 
 import numpy as np
 from scipy import sparse
-from scipy import stats as sstats
 from scipy.sparse.linalg import splu
 
 from .control import (MeasureFlow, ValueFunction, apply_bands,
@@ -536,8 +535,9 @@ def _fit_rate(times, values, floor):
     mask = (values > max(3.0 * floor, 1e-12)) & np.isfinite(values)
     if np.sum(mask) < 3:
         return None
-    res = sstats.linregress(times[mask], np.log(values[mask]))
-    return float(res.slope)
+    # least-squares slope from the biased covariance, as linregress takes it
+    ssxm, ssxym, _, _ = np.cov(times[mask], np.log(values[mask]), bias=1).flat
+    return float(ssxym / ssxm)
 
 
 def turnpike_report(scenario: Scenario, flow: MeasureFlow,

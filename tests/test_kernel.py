@@ -222,6 +222,22 @@ def test_measure_flow_at_array_matches_scalar(seed, n_times, n_extra):
     np.testing.assert_array_equal(flow.at(times), dens)
 
 
+@pytest.mark.filterwarnings("error")
+def test_value_grad_at_one_slice():
+    # solve_hjb at T = 0 stores one slice; every time, the stored one
+    # included, reads its gradient, with no 0/0 weight
+    sc = load_scenario("ou", {"grid.n_x": 61})
+    g = 0.1 * sc.grid.xs ** 2
+    value = solve_hjb(sc.grid, 0.0, sc.diffusion, sc.drift.b,
+                      sc.running_cost, g)
+    assert value.grad.shape == (1, 61)
+    for t in (0.0, 0.5, -1.0):
+        np.testing.assert_array_equal(value.grad_at(t), value.grad[0])
+    ts = np.array([0.0, -1.0, 0.0, 2.0])
+    np.testing.assert_array_equal(value.grad_at(ts),
+                                  np.tile(value.grad[0], (4, 1)))
+
+
 def test_hjb_block_source_matches_per_step_rows():
     # n_steps crosses two block boundaries and ends inside a block
     sc = load_scenario("ou", {"grid.n_x": 61, "grid.dt": 1e-3})

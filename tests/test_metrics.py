@@ -310,3 +310,20 @@ def test_serialization_roundtrip(tmp_path, tm_const2):
     rr = np.linspace(0.0, 19.0, 101)
     assert np.allclose(back.f(rr), tm_const2.f(rr), atol=1e-12)
     assert np.allclose(back.fprime(rr), tm_const2.fprime(rr), atol=1e-12)
+
+
+@pytest.mark.parametrize("fault", ["unsorted", "duplicate", "nan"])
+def test_load_metric_rejects_bad_radii(tmp_path, tm_const2, fault):
+    # a table read from disk must have finite, strictly increasing radii
+    csv_path = tmp_path / "metric.csv"
+    save_metric(tm_const2, csv_path)
+    arr = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+    if fault == "unsorted":
+        arr[[3, 4]] = arr[[4, 3]]
+    elif fault == "duplicate":
+        arr[4, 0] = arr[3, 0]
+    else:
+        arr[4, 0] = np.nan
+    np.savetxt(csv_path, arr, delimiter=",", header="r,f,fprime", comments="")
+    with pytest.raises(ValueError, match="PCHIP nodes"):
+        load_metric(csv_path)

@@ -3,14 +3,15 @@
 These are the numerical workhorses behind every rate constant in the
 package: all metric integrals are adaptive Simpson with a per-call absolute
 tolerance, and all threshold radii / certified rates are bisection roots of
-monotone functions.  The metric tables are integrated by cumulative
-Simpson on their uneven radius grid and read between nodes by the monotone
-cubic (PCHIP) interpolant; both, and the composite Simpson pre-pass, give
-the same bits as scipy's cumulative_simpson, PchipInterpolator and
-simpson, whose operations they repeat in the same order.
+monotone functions.  The adaptive Simpson calls its integrand once per
+refinement level, on an array of points, and its results have the bits of
+the classic depth-first recursion, which evaluates one point at a time.
+The metric tables are integrated by cumulative Simpson on their uneven
+radius grid and read between nodes by the monotone cubic (PCHIP)
+interpolant; both, and the composite Simpson pre-pass, give the same bits
+as scipy's cumulative_simpson, PchipInterpolator and simpson, whose
+operations they repeat in the same order.
 """
-
-from bisect import bisect_right
 
 import numpy as np
 
@@ -23,35 +24,77 @@ QUAD_TOL = 1e-10
 def adaptive_simpson(fn, a, b, tol=QUAD_TOL, max_depth=48, rel=0.0):
     """Integrate fn on [a, b] to absolute tolerance tol (or relative rel).
 
-    Classic recursive Simpson with Richardson correction S2 + (S2-S1)/15.
-    A subinterval is accepted when the Richardson error estimate is below
-    either budget; the relative budget matters for integrands many decades
-    below the absolute tolerance (exponential tails).  fn must be finite on
-    [a, b]; endpoint singularities are the caller's problem.
+    Adaptive Simpson with Richardson correction S2 + (S2-S1)/15: an
+    interval is accepted when the Richardson error estimate is below either
+    budget, and otherwise halved, with half the absolute budget for each
+    half.  The relative budget matters for integrands many decades below
+    the absolute tolerance (exponential tails).  fn takes an array of
+    points and returns one value per point; it must be finite on [a, b],
+    and endpoint singularities are the caller's problem.
+
+    The intervals are refined level by level: fn is called once on the
+    ends and midpoint, then once per level on the two new quarter points
+    of every interval not yet accepted, in ascending order.  The accepted
+    pieces are then added in the order of the classic recursion (each
+    interval's value is its left half's plus its right half's), so the
+    result has the recursion's bits.  An interval still unaccepted after
+    max_depth halvings raises NumericalError; the leftmost one is
+    reported, as the depth-first recursion would.
     """
     if b <= a:
         return 0.0
-    fa, fm, fb = fn(a), fn(0.5 * (a + b)), fn(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_rec(fn, a, b, fa, fm, fb, whole, tol, rel, max_depth)
+    # one row per interval of a level: its ends and midpoint (a, m, b),
+    # then fn there
+    rows = np.array([[a, 0.5 * (a + b), b, 0.0, 0.0, 0.0]])
+    rows[0, 3:] = np.asarray(fn(rows[0, :3]), dtype=float)
+    whole = (b - a) / 6.0 * (rows[:, 3] + 4.0 * rows[:, 4] + rows[:, 5])
+    levels = []     # each level that halved some interval: values, which
+    depth = max_depth
+    while True:
+        k = len(rows)
+        x, fx = rows[:, :3], rows[:, 3:]
+        quarters = 0.5 * (x[:, :-1] + x[:, 1:])
+        fq = np.asarray(fn(quarters.ravel()), dtype=float).reshape(k, 2)
+        # Simpson on the left and right half of each interval
+        halves = ((x[:, 1:] - x[:, :-1]) / 6.0
+                  * (fx[:, :-1] + 4.0 * fq + fx[:, 1:]))
+        both = halves[:, 0] + halves[:, 1]
+        err = both - whole
+        budget = tol
+        if rel:
+            budget = rel * np.abs(both)
+            budget = np.where(budget > tol, budget, tol)
+        done = np.abs(err) <= 15.0 * budget
+        done |= (x[:, 2] - x[:, 0]) < 1e-14 * (1.0 + np.abs(x[:, 0]))
+        value = both + err / 15.0
+        if done.all():
+            break
+        split = ~done
+        levels.append((value, split))
+        if depth <= 0:
+            i = int(np.argmax(split))
+            raise NumericalError(
+                f"adaptive Simpson stuck on [{x[i, 0]:g}, {x[i, 2]:g}], "
+                f"err={err[i]:g}, tol={tol:g}")
+        # each halved interval gives the next level its two halves, in order
+        rows = np.concatenate((rows, quarters, fq), axis=1)[split]
+        rows = rows[:, _HALVES].reshape(-1, 6)
+        whole = halves[split].ravel()
+        tol = 0.5 * tol
+        depth -= 1
+    # the halves of a level's j-th halved interval are the next level's
+    # entries 2j and 2j+1
+    total = value
+    for value, split in reversed(levels):
+        value[split] = total[0::2] + total[1::2]
+        total = value
+    return float(total[0])
 
 
-def _simpson_rec(fn, a, b, fa, fm, fb, whole, tol, rel, depth):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = fn(lm), fn(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    err = left + right - whole
-    if (abs(err) <= 15.0 * max(tol, rel * abs(left + right))
-            or (b - a) < 1e-14 * (1.0 + abs(a))):
-        return left + right + err / 15.0
-    if depth <= 0:
-        raise NumericalError(
-            f"adaptive Simpson stuck on [{a:g}, {b:g}], err={err:g}, tol={tol:g}")
-    half = 0.5 * tol
-    return (_simpson_rec(fn, a, m, fa, flm, fm, left, half, rel, depth - 1)
-            + _simpson_rec(fn, m, b, fm, frm, fb, right, half, rel, depth - 1))
+# the halves of an interval, as rows of its columns (a, m, b, fa, fm, fb,
+# left quarter, right quarter, f there): (a, left quarter, m) and
+# (m, right quarter, b), each with its values
+_HALVES = np.array([[0, 6, 1, 3, 8, 4], [1, 7, 2, 4, 9, 5]])
 
 
 def bisect_root(fn, lo, hi, tol=1e-12, max_iter=200):
@@ -147,7 +190,7 @@ class Pchip:
     raises ValueError.
     """
 
-    __slots__ = ("x", "c", "_inner", "_knots", "_rows")
+    __slots__ = ("x", "c", "_inner")
 
     def __init__(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -178,11 +221,9 @@ class Pchip:
         self.x = x
         self._inner = x[1:-1]
         self.c = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
-        self._knots = self._rows = None
 
     def __call__(self, q):
-        if np.ndim(q) == 0:
-            return self._at(float(q))
+        scalar = np.ndim(q) == 0
         q = np.asarray(q, dtype=float)
         # piece i holds x_i <= q < x_(i+1); the last node and both outer
         # sides use the end pieces, which searching the interior nodes gives
@@ -191,18 +232,5 @@ class Pchip:
         c0, c1, c2, c3 = (row.take(i) for row in self.c)
         # summed from 0.0 upwards in powers of s, as scipy's PPoly does
         s2 = s * s
-        return (0.0 + c3) + c2 * s + c1 * s2 + c0 * (s2 * s)
-
-    def _at(self, q):
-        # the adaptive quadratures call one point at a time (the Z audits of
-        # a double-well set-up make some 43,000 calls): plain floats from
-        # lists, made on the first such call, cost about a third of a call
-        # through the array path above
-        if self._rows is None:
-            self._knots = self.x.tolist()
-            self._rows = self.c.T.tolist()
-        i = bisect_right(self._knots, q, 1, len(self._rows)) - 1
-        s = q - self._knots[i]
-        c0, c1, c2, c3 = self._rows[i]
-        s2 = s * s
-        return (0.0 + c3) + c2 * s + c1 * s2 + c0 * (s2 * s)
+        out = (0.0 + c3) + c2 * s + c1 * s2 + c0 * (s2 * s)
+        return float(out) if scalar else out

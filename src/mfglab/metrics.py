@@ -308,12 +308,12 @@ def q_integral(C, lam, sigma0, tau):
 def _scaled_simpson(fn, a, b):
     """Adaptive Simpson with an absolute budget scaled to the integral.
 
-    A 257-sample composite Simpson pre-pass sizes the integral, so that
-    integrals far below QUAD_TOL (deep exponential tails) are still resolved
-    relatively.
+    A 257-sample composite Simpson pre-pass (one call of fn on all the
+    samples) sizes the integral, so that integrals far below QUAD_TOL (deep
+    exponential tails) are still resolved relatively.
     """
     xs = np.linspace(a, b, 257)
-    scale = abs(simpson([fn(x) for x in xs], xs))
+    scale = abs(simpson(fn(xs), xs))
     tol = max(QUAD_TOL * max(scale, 1e-30), 1e-280)
     return adaptive_simpson(fn, a, b, tol, rel=1e-9)
 
@@ -322,7 +322,8 @@ def q_weighted_integral(C, lam_bar, sigma0, t, T, weight):
     """Quadrature of the integral over [t, T] of q_{s-t} * weight(s) ds.
 
     The square-root singularity at s = t is removed by the substitution
-    s = t + v^2; weight must be smooth and nonnegative.
+    s = t + v^2; weight must be smooth and nonnegative, and it takes an
+    array of times and returns one value per time.
     """
     if T <= t:
         return 0.0
@@ -434,10 +435,7 @@ def build_quadratic_metric(tm_half: TwistedMetric, sigma0, kappa_plus,
         raise CertificationError("kappa_plus must be positive")
     if R1_choice < 1.0:
         raise CertificationError("R1_choice must be at least 1")
-    prof = tm_half.profile
-    check = prof.sample_grid()
-    check = check[check >= R1_choice]
-    if check.size and np.min(prof(check)) < kappa_plus - 1e-12:
+    if tm_half.profile.sampled_inf(R1_choice) < kappa_plus - 1e-12:
         raise CertificationError("profile falls below kappa_plus beyond R1_choice")
     if abs(tm_half.sigma_check - sigma0 / np.sqrt(2.0)) > 1e-12 * (1.0 + sigma0):
         raise CertificationError("base metric must be built at sigma0 / sqrt(2)")

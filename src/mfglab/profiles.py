@@ -8,6 +8,7 @@ kernels, smallness conditions) is a functional of a profile.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,6 +34,11 @@ class MonotonicityProfile:
 
     fn must be vectorized over numpy arrays of radii.  asymptotic_floor is
     a sampled quantity, not a proof.
+
+    The tail infima read one table per profile, made at the first query:
+    kappa on the sample grid and its suffix minima, so that a query is one
+    search of the grid.  kappa must be finite on the whole grid: a
+    non-finite value anywhere on it makes every query raise ConfigError.
     """
     fn: Callable[[np.ndarray], np.ndarray]
     r_min: float
@@ -55,14 +61,22 @@ class MonotonicityProfile:
         lin = np.linspace(lo, self.r_max, n - n // 2)
         return np.unique(np.concatenate([geo, lin]))
 
+    @cached_property
+    def _tail_table(self):
+        """The sample grid and, at entry i, min of kappa over grid[i:]."""
+        grid = self.sample_grid()
+        return grid, np.minimum.accumulate(self(grid)[::-1])[::-1]
+
+    def sampled_inf(self, r_lo):
+        """min of kappa over the sample grid radii >= r_lo (inf past r_max)."""
+        grid, suffix_min = self._tail_table
+        i = np.searchsorted(grid, r_lo)
+        return float(suffix_min[i]) if i < grid.size else np.inf
+
     def tail_inf(self, r_lo):
         """min of kappa over [r_lo, r_max], capped by the asserted floor."""
-        grid = self.sample_grid()
-        grid = grid[grid >= r_lo]
-        vals = [self.asymptotic_floor]
-        if grid.size:
-            vals.append(float(np.min(self(grid))))
-        return float(min(vals))
+        v = self.sampled_inf(r_lo)
+        return v if v < self.asymptotic_floor else float(self.asymptotic_floor)
 
     def negative_part_at(self, r):
         v = self(np.maximum(np.asarray(r, dtype=float), 1e-300))
@@ -71,11 +85,12 @@ class MonotonicityProfile:
 
 def _certify(fn, r_min, r_max):
     def integrand(s):
-        s = max(s, 1e-14 * r_max)
-        v = float(fn(np.asarray([s]))[0])
-        if not np.isfinite(v):
+        s = np.maximum(s, 1e-14 * r_max)
+        v = np.asarray(fn(s), dtype=float)
+        if not np.isfinite(v).all():
             raise ConfigError("profile evaluates to a non-finite value")
-        return s * max(-v, 0.0)
+        # max(-v, 0.0) elementwise: -0.0 where v is 0.0, as the float max
+        return s * np.where(v > 0.0, 0.0, -v)
 
     integral = adaptive_simpson(integrand, 0.0, min(1.0, r_max), tol=QUAD_TOL)
     tail = np.linspace(r_max / 4.0, r_max, 512)

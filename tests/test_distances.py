@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -53,6 +54,36 @@ def test_w1_samples_matches_grid():
     assert w1_samples(a, b) == pytest.approx(0.5, abs=2e-2)
     c = rng.normal(0.5, 1.0, 30_000)
     assert w1_samples(a, c) == pytest.approx(0.5, abs=2e-2)
+
+
+def brute_force_w1(a, b):
+    """Integral of |F_a - F_b| over the merged support, in exact rationals:
+    on each gap between neighbouring support points the two empirical
+    distribution functions are counted afresh."""
+    support = sorted(set(a) | set(b))
+    total = Fraction(0)
+    for lo, hi in zip(support[:-1], support[1:]):
+        gap = (Fraction(sum(v <= lo for v in a), len(a))
+               - Fraction(sum(v <= lo for v in b), len(b)))
+        total += abs(gap) * (Fraction(hi) - Fraction(lo))
+    return float(total)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40),
+       m=st.integers(1, 40), ties=st.booleans())
+def test_w1_samples_exact_against_brute_force(seed, n, m, ties):
+    # equal sizes take the sorted matching, unequal ones the merged CDFs;
+    # both must be the exact W1 of the two empirical laws
+    rng = np.random.default_rng(seed)
+    for size_b in (n, m):
+        if ties:     # atoms on a coarse lattice: shared and repeated points
+            a = rng.integers(-4, 5, n) * 0.25
+            b = rng.integers(-4, 5, size_b) * 0.25 + rng.integers(0, 2) * 0.5
+        else:
+            a = rng.normal(rng.uniform(-2, 2), rng.uniform(0.1, 3.0), n)
+            b = rng.normal(rng.uniform(-2, 2), rng.uniform(0.1, 3.0), size_b)
+        exact = brute_force_w1(a.tolist(), b.tolist())
+        assert w1_samples(a, b) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def test_tv_basic(grid):

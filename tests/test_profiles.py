@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mfglab.errors import ConfigError
 from mfglab.profiles import (make_profile, certify_class_K, constant_profile,
@@ -109,3 +111,54 @@ def test_shift_profile_hess_mode():
 def test_empty_radius_grid_rejected():
     with pytest.raises(ConfigError, match="empty radius grid"):
         profile_of_drift(lambda x: -x, ConstantDiffusion1D(), np.array([]))
+
+
+def scanned_tail_inf(prof, r_lo):
+    """tail_inf as a fresh scan: kappa on the sample grid at and past r_lo,
+    capped by the floor."""
+    grid = prof.sample_grid()
+    grid = grid[grid >= r_lo]
+    vals = [prof.asymptotic_floor]
+    if grid.size:
+        vals.append(float(np.min(prof(grid))))
+    return float(min(vals))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       shape=st.sampled_from(["double_well", "constant", "grad", "hess",
+                              "wavy"]))
+def test_tail_inf_matches_scan(seed, shape):
+    rng = np.random.default_rng(seed)
+    r_max = rng.uniform(5.0, 80.0)
+    if shape == "wavy":     # many local minima, not class K in general
+        amp, w, tilt = rng.uniform(0.1, 2.0), rng.uniform(0.5, 20.0), \
+            rng.uniform(-0.1, 0.3)
+        prof = make_profile(lambda r: tilt * r + amp * np.sin(w * r),
+                            r_max=r_max)
+    elif shape == "constant":
+        prof = constant_profile(rng.uniform(-2.0, 2.0), r_max=r_max)
+    else:
+        prof = double_well_profile(r_max=r_max)
+        if shape != "double_well":
+            prof = shift_profile(prof, rng.uniform(0.0, 3.0), mode=shape)
+    grid = prof.sample_grid()
+    radii = np.concatenate([[0.0, prof.r_min, r_max, 1.5 * r_max, np.inf],
+                            rng.choice(grid, 8),
+                            rng.uniform(0.0, 1.2 * r_max, 24)])
+    for r in radii:
+        got = prof.tail_inf(r)
+        assert type(got) is float
+        assert got == scanned_tail_inf(prof, r), r
+
+
+def test_tail_inf_rejects_non_finite_kappa_anywhere_on_the_grid():
+    # kappa is NaN on (1.5, 2) only: the class-K window (0, 1] and the tail
+    # window [r_max/4, r_max] are finite, so the profile certifies, but
+    # every tail query reads the whole grid's table and raises, also past
+    # the NaN radii and past r_max
+    prof = make_profile(lambda r: np.where((r > 1.5) & (r < 2.0), np.nan, 1.0),
+                        r_max=50.0)
+    assert prof.certification.is_K
+    for r in (0.0, 10.0, 60.0):
+        with pytest.raises(ConfigError, match="non-finite"):
+            prof.tail_inf(r)

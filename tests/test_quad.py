@@ -1,4 +1,5 @@
-"""The table routines of _quad and the turnpike rate fit give scipy's bits.
+"""The table routines of _quad and the turnpike rate fit give scipy's bits,
+and the level-by-level adaptive Simpson gives the classic recursion's.
 
 scipy is imported here only, as the oracle: the package integrates and
 interpolates its metric tables with its own code, and a test below checks
@@ -18,9 +19,11 @@ from hypothesis import strategies as st
 from scipy import integrate, interpolate, stats
 
 import mfglab
-from mfglab._quad import Pchip, cumulative_simpson, simpson
+from mfglab._quad import Pchip, adaptive_simpson, cumulative_simpson, simpson
+from mfglab.errors import NumericalError
 from mfglab.mfg import _fit_rate
 from mfglab.model import CATALOG_DIR
+from simpson_reference import recursive_simpson
 
 KINDS = ("random", "flat", "zero_runs", "sign_changes", "monotone")
 
@@ -110,6 +113,74 @@ def test_simpson_matches_scipy(seed, n, kind):
     xs = np.linspace(a, a + rng.uniform(1e-3, 10.0), 257)
     ys = [float(v) for v in np.exp(-rng.uniform(0.1, 3.0) * xs) * xs]
     assert simpson(ys, xs) == integrate.simpson(ys, x=xs)
+
+
+def outcome(integrate_fn, fn, a, b, **kw):
+    """The integral, or the message of the NumericalError it raised."""
+    try:
+        return integrate_fn(fn, a, b, **kw)
+    except NumericalError as exc:
+        return str(exc)
+
+
+def simpson_cases(seed, n, kind):
+    """(integrand, interval, size) triples: a PCHIP table read past both
+    of its ends, and a smooth exponential over up to a dozen decades; size
+    bounds the integral's magnitude."""
+    rng = np.random.default_rng(seed)
+    x, y = table(seed, n, kind)
+    span = x[-1] - x[0]
+    a = x[0] + span * rng.uniform(-0.2, 0.9)
+    b = a + span * rng.uniform(0.0, 1.3)
+    fn = Pchip(x, y)
+    yield fn, a, b, size(fn, a, b)
+    amp, rate = 10.0 ** rng.uniform(-12, 2), rng.uniform(-2.0, 6.0)
+    a = rng.uniform(-1.0, 3.0)
+    b = a + rng.uniform(0.0, 8.0)
+    fn = lambda v: amp * np.exp(-rate * v) * (1.0 + v * v)
+    yield fn, a, b, size(fn, a, b)
+
+
+def size(fn, a, b):
+    return float(np.max(np.abs(fn(np.linspace(a, b, 65))))) * (b - a) + 1e-300
+
+
+# absolute budgets down to 1e-12 of the integral's size: the double
+# rounding of the error estimate, near 1e-16 of it, stays well inside
+@given(**grids, log_tol=st.floats(-12.0, -3.0),
+       rel=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]))
+def test_adaptive_simpson_matches_recursion(seed, n, kind, log_tol, rel):
+    for fn, a, b, scale in simpson_cases(seed, n, kind):
+        kw = dict(tol=10.0 ** log_tol * scale, rel=rel)
+        got = adaptive_simpson(fn, a, b, **kw)
+        assert type(got) is float
+        assert got == recursive_simpson(fn, a, b, **kw)
+        # an empty or reversed interval integrates to 0
+        assert adaptive_simpson(fn, b, a, **kw) == 0.0
+
+
+@given(**grids, max_depth=st.integers(0, 7))
+def test_adaptive_simpson_depth_limit_matches_recursion(seed, n, kind,
+                                                        max_depth):
+    # tight budgets and few levels: the same interval is reported stuck, or
+    # both accept with the same bits
+    for fn, a, b, scale in simpson_cases(seed, n, kind):
+        kw = dict(tol=1e-13 * scale, max_depth=max_depth)
+        got = outcome(adaptive_simpson, fn, a, b, **kw)
+        assert got == outcome(recursive_simpson, fn, a, b, **kw)
+    # a kink inside the interval never meets the budget in 7 levels
+    kink = lambda v: np.abs(v - 0.3)
+    kw = dict(tol=1e-13, max_depth=max_depth)
+    got = outcome(adaptive_simpson, kink, 0.0, 1.0, **kw)
+    assert got.startswith("adaptive Simpson stuck on [")
+    assert got == outcome(recursive_simpson, kink, 0.0, 1.0, **kw)
+    # a jump never meets any budget: only the width rule accepts the
+    # interval that holds it, some 47 halvings down
+    jump = 0.1 + 0.8 * np.random.default_rng(seed).random()
+    step = lambda v: np.where(v < jump, 0.0, 1.0)
+    got = adaptive_simpson(step, 0.0, 1.0, tol=1e-13)
+    assert got == recursive_simpson(step, 0.0, 1.0, tol=1e-13)
+    assert got == pytest.approx(1.0 - jump, abs=1e-13)
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 60))

@@ -20,13 +20,14 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import lapack
 
-from .distances import f_norm, lip_norm, tv_grid, wf_grid
+from .distances import f_norm, lip_norm, tv_grid
 from .errors import ConfigError, NumericalError
 from .metrics import (TwistedMetric, gap_envelope, girsanov_tv, q_integral,
                       q_kernel, q_weighted_integral, within_bound)
 from .model import (DiffusionSpec, Grid1D, RunningCostSpec, Scenario,
                     _build_extending, policy)
 from .profiles import shift_profile
+from .transport import wf_grid
 
 
 # ---------------------------------------------------------------------------

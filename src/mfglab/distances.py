@@ -1,17 +1,12 @@
-"""Distances between 1D measures: W1, total variation, twisted Wasserstein.
+"""Distances between 1D measures: W1, total variation, seminorms.
 
 Measures come in two representations: densities on a grid and equal-weight
 particle clouds.  W1 is exact in 1D through CDFs.  The twisted distance W_f
-(concave ground cost) is solved exactly on equal-weight atoms: moving n
-equal weights onto n equal weights is an assignment problem, since the
-optimal plans of that transport problem include a permutation
-(Birkhoff-von Neumann).  A concave cost with f(0)=0 defines a metric, so
-the common mass of two densities is cancelled first and only the residual
-measures become atoms.
+needs an assignment solver and lives in :mod:`mfglab.transport`, so that
+this module, and every module that imports it, loads numpy only.
 """
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ConfigError
 
@@ -78,52 +73,6 @@ def tv_grid(x, p, q, check=True):
         _check_density(x, p)
         _check_density(x, q)
     return 0.5 * float(np.trapezoid(np.abs(p - q), x))
-
-
-def quantile_atoms(x, p, n):
-    """n equal-mass atom locations of a grid density (inverse CDF)."""
-    dx = np.diff(x)
-    c = np.concatenate([[0.0], np.cumsum(0.5 * (p[1:] + p[:-1]) * dx)])
-    c /= c[-1]
-    c = np.maximum.accumulate(c)
-    targets = (np.arange(n) + 0.5) / n
-    return np.interp(targets, c, x)
-
-
-def wf_grid(x, p, q, f, n_atoms=128, check=True):
-    """Twisted Wasserstein W_f between grid densities, exact on atoms.
-
-    f is the concave ground cost (callable on arrays).  The shared mass
-    p ^ q stays in place (f is a metric cost), so only the residual measures
-    are compressed to n_atoms quantile atoms per side and shipped.
-    """
-    if check:
-        _check_density(x, p)
-        _check_density(x, q)
-    diff = p - q
-    pos, negv = np.maximum(diff, 0.0), np.maximum(-diff, 0.0)
-    mass = float(np.trapezoid(pos, x))
-    mass_n = float(np.trapezoid(negv, x))
-    m = 0.5 * (mass + mass_n)
-    if m < 1e-14:
-        return 0.0
-    xa = quantile_atoms(x, pos / mass, n_atoms)
-    xb = quantile_atoms(x, negv / mass_n, n_atoms)
-    return m * wf_atoms(xa, xb, f)
-
-
-def wf_atoms(xa, xb, f):
-    """W_f between equal-weight atom clouds of the same size.
-
-    The cheapest plan is a matching of the atoms, found exactly by one
-    assignment on the cost matrix f(|xa_i - xb_j|).
-    """
-    xa, xb = np.asarray(xa, dtype=float), np.asarray(xb, dtype=float)
-    if len(xa) != len(xb):
-        raise ConfigError("atom clouds must have equal size")
-    cost = f(np.abs(xa[:, None] - xb[None, :]))
-    rows, cols = linear_sum_assignment(cost)
-    return float(np.mean(cost[rows, cols]))
 
 
 def f_norm(x, values, f, strides=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512)):

@@ -34,6 +34,7 @@ sides).
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -61,20 +62,24 @@ class TwistedMetric:
     fprime_table: np.ndarray
     quad_tol: float
     degenerate: bool = False
-    # cumulative tables backing evaluation and the analytic second derivative
+    # cumulative tables backing the analytic second derivative
     _I: Optional[Pchip] = None
     _Phi: Optional[Pchip] = None
-    _fi: Optional[Pchip] = None
-    _fpi: Optional[Pchip] = None
 
     # -- evaluation ---------------------------------------------------------
+    # f and f' read their tables through interpolants made from the tables
+    # themselves, so a copy made by dataclasses.replace makes its own
+    @cached_property
+    def _fi(self):
+        return Pchip(self.r_table, self.f_table)
+
+    @cached_property
+    def _fpi(self):
+        return Pchip(self.r_table, self.fprime_table)
+
     def f(self, r):
         r_arr = np.clip(np.asarray(r, dtype=float), 0.0, None)
-        if self._fi is not None:
-            inside = self._fi(np.minimum(r_arr, self.r_table[-1]))
-        else:
-            inside = np.interp(np.minimum(r_arr, self.r_table[-1]),
-                               self.r_table, self.f_table)
+        inside = self._fi(np.minimum(r_arr, self.r_table[-1]))
         # affine extension beyond the table keeps the tail slope C
         out = np.where(r_arr > self.r_table[-1],
                        self.f_table[-1] + self.C * (r_arr - self.r_table[-1]),
@@ -83,11 +88,7 @@ class TwistedMetric:
 
     def fprime(self, r):
         r_arr = np.clip(np.asarray(r, dtype=float), 0.0, None)
-        if self._fpi is not None:
-            out = self._fpi(np.minimum(r_arr, self.r_table[-1]))
-        else:
-            out = np.interp(np.minimum(r_arr, self.r_table[-1]),
-                            self.r_table, self.fprime_table)
+        out = self._fpi(np.minimum(r_arr, self.r_table[-1]))
         out = np.where(r_arr > self.R1, self.C, out)
         return out if np.ndim(r) else float(out)
 
@@ -203,10 +204,12 @@ def build_twisted_metric(profile: MonotonicityProfile,
     tm = TwistedMetric(profile=profile, sigma_check=sigma_check,
                        R0=R0, R1=R1, Z=Z, lam=lam, C=C,
                        r_table=nodes, f_table=f_nodes, fprime_table=fp_nodes,
-                       quad_tol=QUAD_TOL, _I=I_interp, _Phi=Phi_interp,
-                       _fi=Pchip(nodes, f_nodes),
-                       _fpi=Pchip(nodes, fp_nodes))
+                       quad_tol=QUAD_TOL, _I=I_interp, _Phi=Phi_interp)
     _check_invariants(tm)
+    # made here, beside the tables: made at the first f call, inside a
+    # solve, they raised the mfg_lq_batch benchmark's peak RSS by 4-5 MB
+    # in about half of its processes
+    tm._fi, tm._fpi
     return tm
 
 
@@ -493,10 +496,12 @@ def load_metric(csv_path, json_path=None) -> TwistedMetric:
     arr = np.loadtxt(csv_path, delimiter=",", skiprows=1)
     with open(json_path) as fh:
         header = json.load(fh)
-    return TwistedMetric(profile=None, sigma_check=header["sigma_check"],
-                         R0=header["R0"], R1=header["R1"], Z=header["Z"],
-                         lam=header["lambda"], C=header["C"],
-                         r_table=arr[:, 0], f_table=arr[:, 1],
-                         fprime_table=arr[:, 2], quad_tol=header["quad_tol"],
-                         _fi=Pchip(arr[:, 0], arr[:, 1]),
-                         _fpi=Pchip(arr[:, 0], arr[:, 2]))
+    tm = TwistedMetric(profile=None, sigma_check=header["sigma_check"],
+                       R0=header["R0"], R1=header["R1"], Z=header["Z"],
+                       lam=header["lambda"], C=header["C"],
+                       r_table=arr[:, 0], f_table=arr[:, 1],
+                       fprime_table=arr[:, 2], quad_tol=header["quad_tol"])
+    # a table read from disk is checked at load: making the interpolants
+    # raises ValueError on unsorted, duplicate or non-finite radii
+    tm._fi, tm._fpi
+    return tm

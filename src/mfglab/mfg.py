@@ -24,10 +24,11 @@ from .control import (MeasureFlow, ValueFunction, apply_bands,
                       diffusion_bands, gradient_bands, gradient_second_order,
                       invariant_density, optimal_flow, solve_fokker_planck,
                       solve_hjb, stationary_density_cc, value_stencil)
-from .distances import f_norm, lip_norm, tv_grid, w1_grid, wf_grid
+from .distances import f_norm, lip_norm, tv_grid, w1_grid
 from .errors import CertificationError, FixedPointError
 from .metrics import q_kernel, within_bound
 from .model import GridDensity, Scenario, SmallnessReport, check_smallness
+from .transport import wf_grid
 
 # the turnpike report rate, and the Picard contraction read at it, as a
 # fraction of the certified rate lambda_star

@@ -150,6 +150,12 @@ def profile_of_drift(drift, diffusion, radius_grid, pair_sampler=None,
     dense grid, which is exact up to grid resolution.  In higher dimension
     random pairs at distance r are sampled and the estimated infimum is
     deflated by 10% to stay conservative.
+
+    The default sampler draws the pairs of each radius from a generator
+    seeded by seed and that radius, so kappa(r) does not depend on which
+    radii were queried before.  pair_sampler(r, n) -> (x, x_hat) replaces
+    it and keeps its own state: its draws, and so kappa, may depend on
+    the order of the queries.
     """
     dim = getattr(diffusion, "dim", 1)
     radius_grid = np.asarray(radius_grid, dtype=float)
@@ -169,9 +175,11 @@ def profile_of_drift(drift, diffusion, radius_grid, pair_sampler=None,
                 out[i] = np.min((bx - bxr) / ri)
             return out.reshape(np.shape(r))
     else:
-        rng = np.random.default_rng(seed)
         if pair_sampler is None:
             def pair_sampler(r, n):
+                # one stream per radius, named by the bits of its cache key
+                rng = np.random.default_rng(
+                    [seed, int(np.float64(r).view(np.uint64))])
                 x = rng.uniform(box[0], box[1], size=(n, dim))
                 u = rng.normal(size=(n, dim))
                 u /= np.linalg.norm(u, axis=1, keepdims=True)
@@ -182,9 +190,10 @@ def profile_of_drift(drift, diffusion, radius_grid, pair_sampler=None,
             r_arr = np.atleast_1d(np.asarray(r, dtype=float))
             out = np.empty_like(r_arr)
             for i, ri in enumerate(r_arr):
-                ri = max(ri, 1e-12)
-                key = round(float(ri), 12)
-                if key not in sampled:
+                # the rounded radius is both the cache key and the radius
+                # sampled, so kappa is a function of it
+                ri = round(float(max(ri, 1e-12)), 12)
+                if ri not in sampled:
                     x, xh = pair_sampler(ri, n_pairs)
                     if len(x) == 0:
                         raise ConfigError("pair sampler returned no pairs")
@@ -194,8 +203,8 @@ def profile_of_drift(drift, diffusion, radius_grid, pair_sampler=None,
                     sb = diffusion.sigma_bar_at(x) - diffusion.sigma_bar_at(xh)
                     val -= np.sum(sb * sb, axis=(1, 2)) / (2.0 * ri ** 2)
                     m = float(np.min(val))
-                    sampled[key] = m - 0.1 * abs(m)
-                out[i] = sampled[key]
+                    sampled[ri] = m - 0.1 * abs(m)
+                out[i] = sampled[ri]
             return out.reshape(np.shape(r))
 
     r_max = float(radius_grid.max())

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mfglab.distances import (w1_grid, w1_samples, tv_grid, wf_grid, wf_atoms,
-                              quantile_atoms, f_norm, lip_norm)
+from mfglab.distances import w1_grid, w1_samples, tv_grid, f_norm, lip_norm
 from mfglab.errors import ConfigError
 from mfglab.metrics import build_twisted_metric
 from mfglab.profiles import constant_profile
+from mfglab.transport import quantile_atoms, wf_atoms, wf_grid
 from transport_reference import transport_lp
 
 

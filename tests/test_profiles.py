@@ -76,6 +76,25 @@ def test_profile_of_drift_2d_isotropic():
     assert np.all(vals >= 0.9 - 1e-9)
 
 
+def test_sampled_profile_does_not_depend_on_query_order():
+    class ConstDiff2D:
+        dim = 2
+        is_constant = True
+
+        def sigma_bar_at(self, x):
+            return np.zeros((len(x), 2, 2))
+
+    def build():
+        return profile_of_drift(lambda x: -x - 0.3 * x ** 3, ConstDiff2D(),
+                                np.linspace(0.2, 5.0, 8), seed=3)
+
+    radii = [1.7, 2.0, 3.0]
+    one, two = build(), build()
+    forward = [one(r) for r in radii]
+    backward = [two(r) for r in radii[::-1]][::-1]
+    assert forward == backward
+
+
 def test_shift_profile_grad_mode():
     base = constant_profile(2.0)
     shifted = shift_profile(base, 0.5)

@@ -1,16 +1,10 @@
 """The table routines of _quad and the turnpike rate fit give scipy's bits,
 and the level-by-level adaptive Simpson gives the classic recursion's.
 
-scipy is imported here only, as the oracle: the package integrates and
-interpolates its metric tables with its own code, and a test below checks
-that importing the package and certifying every catalog scenario loads no
-scipy.stats, scipy.integrate or scipy.interpolate.
+scipy.stats, scipy.integrate and scipy.interpolate are imported here only,
+as the oracle: the package integrates and interpolates its metric tables
+with its own code (test_package checks what importing it loads).
 """
-
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,11 +12,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate, interpolate, stats
 
-import mfglab
 from mfglab._quad import Pchip, adaptive_simpson, cumulative_simpson, simpson
 from mfglab.errors import NumericalError
 from mfglab.mfg import _fit_rate
-from mfglab.model import CATALOG_DIR
 from simpson_reference import recursive_simpson
 
 KINDS = ("random", "flat", "zero_runs", "sign_changes", "monotone")
@@ -196,29 +188,3 @@ def test_fit_rate_matches_linregress(seed, n):
     else:
         ref = stats.linregress(times[mask], np.log(values[mask])).slope
         assert slope == float(ref)
-
-
-_IMPORT_SURFACE = """
-import sys
-import mfglab
-from mfglab.model import CATALOG_DIR, check_smallness, load_scenario
-names = sorted(p.stem for p in CATALOG_DIR.glob("*.json"))
-for name in names:
-    check_smallness(load_scenario(name))
-print(len(names), *sorted(m for m in ("scipy.stats", "scipy.integrate",
-                                      "scipy.interpolate")
-                          if m in sys.modules))
-"""
-
-
-def test_import_surface_has_no_scipy_stats_integrate_interpolate():
-    """A fresh process that certifies every catalog scenario loads only
-    the scipy kernels the package calls (lapack, splu, the assignment)."""
-    src_dir = str(Path(mfglab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src_dir)
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_SURFACE], env=env,
-                          capture_output=True, text=True, timeout=300,
-                          check=True)
-    n_scenarios = len(list(CATALOG_DIR.glob("*.json")))
-    assert n_scenarios >= 5
-    assert proc.stdout.split() == [str(n_scenarios)]

@@ -387,10 +387,12 @@ def main(argv=None):
         run.seed = sc.mc.master_seed
         COMMANDS[args.command](sc, run, args)
         return run.finish(path, ["mfglab"] + argv)
-    except MfglabError as exc:
+    except BaseException as exc:
         if run is not None:    # leave no finished-looking run directory
             for name in run.outputs + ["summary.json", "manifest.json"]:
                 (run.path / name).unlink(missing_ok=True)
+        if not isinstance(exc, MfglabError):
+            raise
         print(f"error ({exc.kind}): {exc}", file=sys.stderr)
         return EXIT_CODES[exc.kind]
 

@@ -24,9 +24,8 @@ from .distances import f_norm, lip_norm, tv_grid
 from .errors import ConfigError, NumericalError
 from .metrics import (TwistedMetric, gap_envelope, girsanov_tv, q_integral,
                       q_kernel, q_weighted_integral, within_bound)
-from .model import (DiffusionSpec, Grid1D, RunningCostSpec, Scenario,
-                    _build_extending, policy)
-from .profiles import shift_profile
+from .model import (DiffusionSpec, Grid1D, RunningCostSpec, Scenario, policy,
+                    shifted_metric)
 from .transport import wf_grid
 
 
@@ -599,12 +598,10 @@ def hessian_ledger(value: ValueFunction, scenario: Scenario,
         return theoretical_value_fnorm(s, T, tm_b, C_x_ell, g_fnorm)
 
     C_u_sup = (C_x_phi(0.0) + cost.C_u_L0) / cost.rho_uu
-    kappa_bar = shift_profile(drift.profile, C_u_sup, "grad",
-                              name=f"{drift.profile.name}-hessbar")
-    # a shifted profile outside class K certifies no bound: empty window
-    tm_bar = None
-    if kappa_bar.certification.is_K:
-        _, tm_bar = _build_extending(kappa_bar, scenario.diffusion.sigma0)
+    # a shifted metric with no rate certifies no bound: empty window
+    _, tm_bar = shifted_metric(drift.profile, C_u_sup, "grad",
+                               scenario.diffusion.sigma0,
+                               f"{drift.profile.name}-hessbar")
 
     C_x_g = (term.C_x_G if term.C_x_G is not None
              else lip_norm(value.xs, g_vals))
@@ -613,14 +610,14 @@ def hessian_ledger(value: ValueFunction, scenario: Scenario,
     window = np.zeros_like(times, dtype=bool)
     for j, t in enumerate(times):
         cands = []
-        if tm_bar is not None and not tm_bar.degenerate and tm_bar.lam > 0.0:
+        if not tm_bar.degenerate:
             lamb, Cb = tm_bar.lam, tm_bar.C
             s0 = tm_bar.sigma_check
             integral = q_weighted_integral(
                 Cb, lamb, s0, t, T,
                 lambda s: 2.0 * (drift.C_x_b * C_x_phi(s) + C_x_ell))
             tau = T - t
-            term_opts = [C_xx_g / Cb * np.exp(-lamb * tau)] if Cb > 0 else []
+            term_opts = [C_xx_g / Cb * np.exp(-lamb * tau)]
             if tau >= 1.0 / (2.0 * lamb):
                 term_opts.append(2.0 * C_x_g * q_kernel(Cb, lamb, s0, tau))
             cands.append(integral + min(term_opts))
@@ -638,7 +635,7 @@ def hessian_ledger(value: ValueFunction, scenario: Scenario,
     led = BoundLedger(kind="value_hessian", times=times, measured=measured,
                       theoretical=theo, window=window)
     led.extras["C_u_sup"] = C_u_sup
-    led.extras["lam_bar"] = 0.0 if tm_bar is None else tm_bar.lam
+    led.extras["lam_bar"] = tm_bar.lam
     return led
 
 

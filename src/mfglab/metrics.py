@@ -61,7 +61,7 @@ class TwistedMetric:
     f_table: np.ndarray
     fprime_table: np.ndarray
     quad_tol: float
-    degenerate: bool = False
+    degenerate: bool = False        # see degenerate_metric
     # cumulative tables backing the analytic second derivative
     _I: Optional[Pchip] = None
     _Phi: Optional[Pchip] = None
@@ -166,15 +166,9 @@ def build_twisted_metric(profile: MonotonicityProfile,
     nodes = _table_nodes(profile, R0, R1)
     neg = np.maximum(nodes, 1e-300) * profile.negative_part_at(nodes)
     I_nodes = cumulative_simpson(neg, nodes)
-    I_interp = Pchip(nodes, I_nodes)
-
     if -I_nodes[-1] / sig2 < _LOG_DEGENERATE:
-        zeros = np.zeros_like(nodes)
-        return TwistedMetric(profile=profile, sigma_check=sigma_check,
-                             R0=R0, R1=R1, Z=np.inf, lam=0.0, C=0.0,
-                             r_table=nodes, f_table=zeros, fprime_table=zeros,
-                             quad_tol=QUAD_TOL, degenerate=True,
-                             _I=I_interp, _Phi=None)
+        return degenerate_metric(profile, sigma_check)
+    I_interp = Pchip(nodes, I_nodes)
 
     phi_nodes = np.exp(-I_nodes / sig2)
     Phi_nodes = cumulative_simpson(phi_nodes, nodes)
@@ -211,6 +205,19 @@ def build_twisted_metric(profile: MonotonicityProfile,
     # in about half of its processes
     tm._fi, tm._fpi
     return tm
+
+
+def degenerate_metric(profile: MonotonicityProfile,
+                      sigma_check) -> TwistedMetric:
+    """The one value for "no certified rate": lam = C = 0, Z = inf, f = 0
+    on the table [0, r_max] and NaN radii R0, R1.  Any other metric has
+    lam > 0 and C > 0, since phi >= exp(_LOG_DEGENERATE) bounds both."""
+    zeros = np.zeros(2)
+    return TwistedMetric(profile=profile, sigma_check=float(sigma_check),
+                         R0=np.nan, R1=np.nan, Z=np.inf, lam=0.0, C=0.0,
+                         r_table=np.array([0.0, profile.r_max]),
+                         f_table=zeros, fprime_table=zeros,
+                         quad_tol=QUAD_TOL, degenerate=True)
 
 
 def _check_invariants(tm: TwistedMetric, tol=1e-7):

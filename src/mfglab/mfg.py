@@ -27,7 +27,8 @@ from .control import (MeasureFlow, ValueFunction, apply_bands,
 from .distances import f_norm, lip_norm, tv_grid, w1_grid
 from .errors import CertificationError, FixedPointError
 from .metrics import q_kernel, within_bound
-from .model import GridDensity, Scenario, SmallnessReport, check_smallness
+from .model import (GridDensity, Scenario, SmallnessReport, check_smallness,
+                    shifted_metric)
 from .transport import wf_grid
 
 # the turnpike report rate, and the Picard contraction read at it, as a
@@ -53,6 +54,7 @@ class ErgodicSolution:
     contraction_factors: list
     fnorm_phi: float = 0.0
     outer_trace: list = field(default_factory=list)
+    fnorm_ok: Optional[bool] = None     # set by solve_ergodic_mfg
 
     def as_dict(self):
         return {"eta": self.eta, "flatness_residual": self.flatness_residual,
@@ -151,7 +153,7 @@ def solve_mfg(scenario: Scenario, tol=1e-5, max_iters=30, force=False,
         change = float(np.max(w1_grid(xs, new_flow.densities,
                                       flow.densities, check=False)))
         entry = {"iter": it, "sup_w1_change": change}
-        if track_contraction and lam_w > 0.0 and not tm_bar.degenerate:
+        if track_contraction and lam_w > 0.0:
             back = max(np.exp(lam_w * (scenario.T - flow.times[i]))
                        * wf_grid(xs, new_flow.densities[i],
                                  flow.densities[i], tm_bar.f, n_atoms=64,
@@ -392,8 +394,6 @@ class TurnpikeConstants:
 def turnpike_constants(scenario: Scenario, rc: SmallnessReport,
                        g_values, phi_inf) -> TurnpikeConstants:
     """Evaluate the explicit envelope constants for the scenario's regime."""
-    from .model import _build_extending
-    from .profiles import shift_profile
     tm_b, tm_bar = rc.tm_b, rc.tm_bar
     cost = scenario.running_cost
     rho = cost.rho_uu
@@ -425,22 +425,14 @@ def turnpike_constants(scenario: Scenario, rc: SmallnessReport,
     tau_G = max(np.log(arg) / tm_b.lam, 0.0) if arg > 1.0 else 0.0
 
     if tau_G > 0.0:
-        kappa_G = shift_profile(scenario.drift.profile, shift_level, "grad",
-                                name="terminal-shifted")
-        if kappa_G.certification.is_K:
-            _, tm_G = _build_extending(kappa_G, sigma0)
-        else:
-            tm_G = None
+        _, tm_G = shifted_metric(scenario.drift.profile, shift_level, "grad",
+                                 sigma0, "terminal-shifted")
     else:
         tm_G = tm_bar
-    lam_G = tm_G.lam if tm_G is not None and not tm_G.degenerate else 0.0
-    C_G = tm_G.C if tm_G is not None and not tm_G.degenerate else 0.0
+    lam_G, C_G = tm_G.lam, tm_G.C
 
     gap = np.asarray(phi_inf) - np.asarray(g_values)
-    if tm_G is not None and not tm_G.degenerate:
-        gap_fnorm = f_norm(xs, gap, tm_G.f)
-    else:
-        gap_fnorm = np.inf
+    gap_fnorm = np.inf if tm_G.degenerate else f_norm(xs, gap, tm_G.f)
     blow = np.exp(tm_bar.lam * tau_G)
     if regime == "low":
         C_f_flow = blow * gap_fnorm / (2.0 * np.sqrt(tm_bar.lam) * rho * C_G) \
@@ -519,7 +511,6 @@ class TurnpikeReport:
     d_flow: np.ndarray
     d_value: np.ndarray
     bound_flow: np.ndarray
-    bound_value: np.ndarray
     window: np.ndarray
     flow_pass: np.ndarray      # per time: outside the window or in the bound
     W0: float
@@ -599,8 +590,8 @@ def turnpike_report(scenario: Scenario, flow: MeasureFlow,
                          and (lam_out is None or lam_out >= half_star)),
     }
     return TurnpikeReport(times=times, d_flow=d_flow, d_value=d_value,
-                          bound_flow=bound_flow, bound_value=bound_value,
-                          window=window, flow_pass=flow_pass, W0=W0,
+                          bound_flow=bound_flow, window=window,
+                          flow_pass=flow_pass, W0=W0,
                           constants=constants, verdicts=verdicts)
 
 

@@ -10,7 +10,7 @@ budgets.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -19,9 +19,12 @@ import numpy as np
 from ._quad import bisect_root
 from .errors import CertificationError, ConfigError, NumericalError
 from .distances import lip_norm, tv_grid, w1_grid
-from .metrics import TwistedMetric, build_twisted_metric, within_bound
+from .metrics import (TwistedMetric, build_twisted_metric, degenerate_metric,
+                      within_bound)
 from .profiles import (MonotonicityProfile, constant_profile,
                        double_well_profile, make_profile, shift_profile)
+
+_EXTEND_TRIES = 3   # _build_extending grows r_max 4x per try, 64x at most
 
 
 # ---------------------------------------------------------------------------
@@ -409,20 +412,18 @@ class SmallnessReport:
     margin: float                   # threshold / value (inf when value is 0)
     passes: bool
     C_x_psi: float
-    C_u_shift: float
-    kappa_bar: MonotonicityProfile
     tm_b: TwistedMetric
-    tm_bar: TwistedMetric
-    epsilon: Callable
+    tm_bar: TwistedMetric           # degenerate when the shift leaves no rate
+    epsilon: Callable               # inf everywhere unless the condition passes
     lambda_star: float
     outer_factor: float             # certified contraction of the ergodic map
     relaxed: Optional[dict] = None
 
 
-def _build_extending(profile, sigma_check, tries=3):
+def _build_extending(profile, sigma_check):
     """Build a twisted metric, growing r_max when R1 is not bracketed."""
     prof = profile
-    for _ in range(tries):
+    for _ in range(_EXTEND_TRIES):
         try:
             return prof, build_twisted_metric(prof, sigma_check)
         except CertificationError as exc:
@@ -432,6 +433,15 @@ def _build_extending(profile, sigma_check, tries=3):
                                 r_max=prof.r_max * 4.0, name=prof.name)
     raise CertificationError(f"R1 not bracketed for {profile.name!r} even "
                              f"after extending the radius grid")
+
+
+def shifted_metric(profile, c_u, mode, sigma_check, name):
+    """(kappa, tm): shift_profile's shifted profile and its twisted metric,
+    which is degenerate when kappa leaves class K or its weight underflows."""
+    kappa = shift_profile(profile, c_u, mode, name=name)
+    if not kappa.certification.is_K:
+        return kappa, degenerate_metric(kappa, sigma_check)
+    return _build_extending(kappa, sigma_check)
 
 
 def epsilon_curve(regime, interaction, rho_uu, sigma0, tm_bar):
@@ -472,6 +482,9 @@ def check_smallness(scenario: Scenario) -> SmallnessReport:
     regime = scenario.regime
 
     _, tm_b = _build_extending(scenario.drift.profile, sigma0)
+    if tm_b.degenerate:
+        raise CertificationError(f"the drift's own metric certifies no rate "
+                                 f"at sigma0 = {sigma0:g}")
     lam_b, C_b = tm_b.lam, tm_b.C
 
     if regime in ("high", "mild"):
@@ -486,21 +499,13 @@ def check_smallness(scenario: Scenario) -> SmallnessReport:
             / (np.sqrt(np.pi * lam_b) * C_b * sigma0)
         C_u_shift = ((8.0 - 2.0 * np.sqrt(np.e)) * C_x_psi + cost.C_u_L0) / rho
 
-    kappa_bar = shift_profile(scenario.drift.profile, C_u_shift, "grad",
-                              name=f"{scenario.drift.profile.name}-bar")
-    if not kappa_bar.certification.is_K:
-        eps = lambda lam: np.inf
-        dead = replace(tm_b, lam=0.0, C=0.0, Z=np.inf, degenerate=True)
-        return SmallnessReport(regime=regime, condition_value=np.inf,
-                               threshold=0.0, margin=0.0, passes=False,
-                               C_x_psi=C_x_psi, C_u_shift=C_u_shift,
-                               kappa_bar=kappa_bar, tm_b=tm_b, tm_bar=dead,
-                               epsilon=eps, lambda_star=0.0,
-                               outer_factor=np.inf)
-    kappa_bar, tm_bar = _build_extending(kappa_bar, sigma0)
+    _, tm_bar = shifted_metric(scenario.drift.profile, C_u_shift, "grad",
+                               sigma0, f"{scenario.drift.profile.name}-bar")
     lam_bar, C_bar = tm_bar.lam, tm_bar.C
 
-    if regime == "high":
+    if tm_bar.degenerate:
+        value, threshold, outer = np.inf, 0.0, np.inf
+    elif regime == "high":
         value = inter.C_xmu_F
         threshold = rho * C_bar ** 2 * lam_bar ** 2
         outer = value / (rho * C_bar ** 2 * lam_bar ** 2) if threshold else np.inf
@@ -519,14 +524,17 @@ def check_smallness(scenario: Scenario) -> SmallnessReport:
 
     # equality gives a unit contraction factor, so only a strict inequality
     # counts as a pass in every regime
-    passes = bool(value < threshold) if tm_bar.lam > 0.0 else False
+    passes = bool(value < threshold)
     margin = np.inf if value == 0.0 else threshold / value
 
-    eps = epsilon_curve(regime, inter, rho, sigma0, tm_bar)
-    if regime == "low":
-        lambda_star = 0.5 * lam_bar if eps(0.0) < 1.0 else 0.0
-    elif eps(0.0) >= 1.0:
+    # eps(0) * margin is 1 (high, low) or sqrt(e) (mild): a failed condition
+    # has eps(0) >= 1 and no rate, so its curve is not built
+    eps = epsilon_curve(regime, inter, rho, sigma0, tm_bar) if passes \
+        else (lambda lam: np.inf)
+    if eps(0.0) >= 1.0:
         lambda_star = 0.0
+    elif regime == "low":
+        lambda_star = 0.5 * lam_bar
     elif eps(lam_bar * (1.0 - 1e-12)) < 1.0:
         # vanishing interaction: every rate below lam_bar is usable
         lambda_star = lam_bar
@@ -538,26 +546,19 @@ def check_smallness(scenario: Scenario) -> SmallnessReport:
     if (regime == "high" and scenario.C_xx_psi is not None
             and cost.C_xu_L is not None):
         C_x_u = (cost.C_xu_L + scenario.C_xx_psi) / rho
-        kp = shift_profile(scenario.drift.profile, C_x_u, "hess",
-                           name=f"{scenario.drift.profile.name}-bar-relaxed")
-        if kp.certification.is_K:
-            kp, tm_rel = _build_extending(kp, sigma0)
-            relaxed = {"C_x_u": C_x_u,
-                       "lambda": tm_rel.lam, "C": tm_rel.C,
-                       "value": inter.C_xmu_F,
-                       "threshold": rho * tm_rel.C ** 2 * tm_rel.lam ** 2,
-                       "passes": bool(inter.C_xmu_F
-                                      < rho * tm_rel.C ** 2 * tm_rel.lam ** 2),
-                       "dominates_base": bool(tm_rel.lam >= lam_bar - 1e-12
-                                              and tm_rel.C >= C_bar - 1e-12)}
-        else:
-            relaxed = {"C_x_u": C_x_u, "passes": False,
-                       "note": "relaxed shifted profile leaves class K"}
+        _, tm_rel = shifted_metric(
+            scenario.drift.profile, C_x_u, "hess", sigma0,
+            f"{scenario.drift.profile.name}-bar-relaxed")
+        threshold_rel = rho * tm_rel.C ** 2 * tm_rel.lam ** 2
+        relaxed = {"C_x_u": C_x_u, "lambda": tm_rel.lam, "C": tm_rel.C,
+                   "value": inter.C_xmu_F, "threshold": threshold_rel,
+                   "passes": bool(inter.C_xmu_F < threshold_rel),
+                   "dominates_base": bool(tm_rel.lam >= lam_bar - 1e-12
+                                          and tm_rel.C >= C_bar - 1e-12)}
 
     return SmallnessReport(regime=regime, condition_value=value,
                            threshold=threshold, margin=margin, passes=passes,
-                           C_x_psi=C_x_psi, C_u_shift=C_u_shift,
-                           kappa_bar=kappa_bar, tm_b=tm_b, tm_bar=tm_bar,
+                           C_x_psi=C_x_psi, tm_b=tm_b, tm_bar=tm_bar,
                            epsilon=eps, lambda_star=lambda_star,
                            outer_factor=outer, relaxed=relaxed)
 

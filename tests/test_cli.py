@@ -4,9 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from mfglab import errors
+from mfglab import cli, errors
 from mfglab.cli import EXIT_CODES, build_parser, main
-from mfglab.model import scenario_path
+from mfglab.model import scenario_path, set_by_path
 
 
 def test_check_catalog_ou(tmp_path):
@@ -250,6 +250,62 @@ def test_failed_run_leaves_no_finished_directory(tmp_path):
                  str(out)]) == 2
     left = {p.name for p in run.iterdir()}
     assert not left & {"coupling.csv", "summary.json", "manifest.json"}
+
+
+def test_crashed_run_leaves_no_finished_directory(tmp_path, monkeypatch):
+    assert main(["check", "--scenario", "ou", "--out", str(tmp_path)]) == 0
+
+    def crash(sc):
+        raise RuntimeError("not a mfglab error")
+
+    monkeypatch.setattr(cli, "check_smallness", crash)
+    with pytest.raises(RuntimeError, match="not a mfglab error"):
+        main(["check", "--scenario", "ou", "--out", str(tmp_path)])
+    left = {p.name for p in (tmp_path / "ou-check").iterdir()}
+    assert not left & {"probes.json", "summary.json", "manifest.json"}
+
+
+def double_well_small_file(tmp_path, overrides):
+    raw = json.loads(scenario_path("double_well_small").read_text())
+    for dotted, value in overrides.items():
+        set_by_path(raw, dotted, value)
+    path = tmp_path / "double_well_small.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def test_check_records_no_certified_rate(tmp_path):
+    path = double_well_small_file(tmp_path, {
+        "interaction.c": 0.01, "mu0.mean": 0.0, "running_cost.C_x_L": 5.0})
+    assert main(["check", "--scenario", str(path), "--out",
+                 str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "double_well_small-check"
+                          / "summary.json").read_text())
+    condition = summary["assertions"]["strength_condition"]
+    assert condition["certified"] is False
+    assert condition["lambda_star"] == 0.0
+
+
+def test_sweep_without_certified_rate_records_no_error(tmp_path):
+    code = main(["sweep", "--scenario", "double_well_small", "--out",
+                 str(tmp_path), "--param", "running_cost.C_x_L",
+                 "--values", "0.1,3,5,10"])
+    assert code == 0
+    rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 4
+    assert all(r.split(",")[4] == "" for r in rows)
+
+
+def test_check_base_without_rate_exit_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    main(["check", "--scenario", "double_well_small", "--out", str(out)])
+    run = out / "double_well_small-check"
+    assert (run / "summary.json").exists()
+    path = double_well_small_file(tmp_path, {"diffusion.sigma": 0.03})
+    assert main(["check", "--scenario", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error (certification): ")
+    left = {p.name for p in run.iterdir()}
+    assert not left & {"probes.json", "summary.json", "manifest.json"}
 
 
 def test_coupling_thread_determinism(tmp_path):

@@ -5,7 +5,7 @@ from mfglab.control import (hessian_ledger, lipschitz_ledger, optimal_flow,
                             pontryagin_residual, solve_fokker_planck,
                             solve_hjb, stability_ledger,
                             stationary_density_cc)
-from mfglab import control
+from mfglab import model
 from mfglab.errors import CertificationError, ConfigError, NumericalError
 from mfglab.metrics import build_twisted_metric
 from mfglab.model import (GaussianLaw, Grid1D, Scenario, constant_diffusion,
@@ -232,7 +232,7 @@ def test_hessian_ledger_propagates_certification_failure(tm_b_unit,
     def fail(profile, sigma_check):
         raise CertificationError(f"profile {profile.name!r} not certified")
 
-    monkeypatch.setattr(control, "_build_extending", fail)
+    monkeypatch.setattr(model, "_build_extending", fail)
     with pytest.raises(CertificationError, match="hessbar"):
         hessian_ledger(vf, sc, tm_b_unit)
 

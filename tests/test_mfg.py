@@ -76,6 +76,7 @@ def test_frozen_ergodic_trivial_zero():
     sol = frozen_ergodic(sc, None, tol=1e-10)
     assert abs(sol.eta) < 1e-9
     assert np.max(np.abs(sol.phi_inf)) < 1e-9
+    assert sol.fnorm_ok is None     # only solve_ergodic_mfg judges the cap
 
 
 def _newton_and_map(sc, mu_frozen):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mfglab.errors import ConfigError
+from mfglab.errors import CertificationError, ConfigError
 from mfglab.model import (CATALOG_DIR, GaussianLaw, GridDensity,
                           ParticleCloud, Grid1D, Scenario, check_smallness,
                           constant_diffusion, conv_tanh_interaction,
@@ -163,6 +163,66 @@ def test_smallness_double_well_catalog_fails():
     rep = check_smallness(load_scenario("double_well"))
     assert not rep.passes
     assert rep.lambda_star == 0.0
+
+
+@pytest.mark.parametrize("regime, eps0_margin", [
+    ("high", 1.0), ("mild", np.sqrt(np.e)), ("low", 1.0)])
+def test_smallness_regime_identities(regime, eps0_margin):
+    # eps(0) * margin is a constant of the regime, so a failed condition
+    # (margin <= 1) has eps(0) >= 1 and no rate to certify
+    rep = check_smallness(load_scenario(
+        "double_well_small", {"interaction.c": 5e-4, "regime": regime}))
+    assert rep.passes and rep.margin > 3.0
+    assert rep.epsilon(0.0) * rep.margin == pytest.approx(eps0_margin,
+                                                          rel=1e-9)
+    if regime != "low":
+        assert rep.outer_factor * rep.margin == pytest.approx(1.0, rel=1e-9)
+    if regime == "mild":
+        assert rep.epsilon(rep.lambda_star) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("kind", ["mean", "conv_tanh"])
+@pytest.mark.parametrize("C_x_L", [2.0, 3.0, 5.0])
+def test_smallness_without_certified_rate_fails(kind, C_x_L):
+    # the shifted weight underflows: at 2 C_bar ** 2 is 0, at 3 and 5 the
+    # shifted metric is degenerate, though the shifted profile is class K
+    rep = check_smallness(load_scenario("double_well_small", {
+        "interaction.kind": kind, "interaction.c": 0.01, "mu0.mean": 0.0,
+        "running_cost.C_x_L": C_x_L}))
+    assert not rep.passes and rep.lambda_star == 0.0
+    assert rep.epsilon(0.0) == np.inf
+
+
+def test_smallness_base_metric_without_rate_raises():
+    sc = load_scenario("double_well_small", {"diffusion.sigma": 0.03})
+    with pytest.raises(CertificationError, match="certifies no rate"):
+        check_smallness(sc)
+
+
+# the (interaction kind, regime) pairs the loader accepts: a mean
+# interaction declares the constants of the high regime only
+KIND_REGIMES = [("mean", "high"), ("conv_tanh", "high"),
+                ("conv_tanh", "mild"), ("conv_tanh", "low")]
+
+
+@given(cost=st.floats(0.0, 12.0), c=st.floats(0.0, 0.05),
+       kind_regime=st.sampled_from(KIND_REGIMES))
+def test_smallness_report_or_certification_error(cost, c, kind_regime):
+    kind, regime = kind_regime
+    cost_key = "C_L_osc" if regime == "low" else "C_x_L"
+    sc = load_scenario("double_well_small", {
+        "interaction.kind": kind, "interaction.c": c, "regime": regime,
+        "mu0.mean": 0.0, f"running_cost.{cost_key}": cost})
+    try:
+        rep = check_smallness(sc)
+    except CertificationError as exc:
+        # nearly degenerate metrics fail the Z audit
+        assert "quadrature disagreement on Z" in str(exc)
+        return
+    if rep.passes:
+        assert not rep.tm_bar.degenerate
+    else:
+        assert rep.lambda_star == 0.0 and rep.epsilon(0.0) == np.inf
 
 
 CATALOG_NAMES = sorted(p.stem for p in CATALOG_DIR.glob("*.json"))

@@ -333,7 +333,8 @@ def cmd_sweep(args, out_root):
             rows.append({"value": value, "lambda_star": float("nan"),
                          "margin": float("nan"), "passes": 0,
                          "error": type(exc).__name__})
-            exit_code = 1
+            # no assertion failed: the run exits with its worst error kind
+            exit_code = max(exit_code, EXIT_CODES[exc.kind])
     Path(out_root).mkdir(parents=True, exist_ok=True)
     out = Path(out_root) / "sweep.csv"
     write_csv(out, ["value", "lambda_star", "margin", "passes", "error"],

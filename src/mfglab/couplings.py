@@ -4,9 +4,10 @@ reflection, interpolated, and mollified (delta-approximate) couplings.
 Paths are simulated in fixed-size chunks, each with its own counter-derived
 RNG stream, and chunk results are reduced in index order, so estimators are
 bit-identical for any worker count.  Coalescence mirrors the exact meeting
-time: a pair is glued when the separation falls below coalesce_eps or when a
-Brownian-bridge test says the continuous radial path crossed zero inside the
-step (gluing late, never early, so measured contraction is only weakened).
+time by one rule: a pair is glued when a Brownian-bridge test says the
+continuous radial path crossed zero inside the step, or when the separation
+falls below the per-step noise scale sqrt(8 sigma0^2 dt) (gluing late, never
+early, so measured contraction is only weakened).
 """
 
 import contextlib
@@ -17,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .distances import tv_grid, w1_grid, w1_samples
+from .distances import w1_samples
 from .errors import ConfigError, NumericalError
 from .metrics import gap_envelope, girsanov_tv, q_kernel
 
@@ -29,6 +30,7 @@ _CHUNK_SIZE = 16384       # paths per chunk, each with its own RNG stream
 _OVERFLOW_GUARD = 1e7     # |x| beyond which a path run aborts
 _DRAW_BLOCK = 1 << 18     # draws per block of noise drawn ahead (2 MB)
 _MOMENT_TIMES = 41        # output times of the moment diagnostic
+_HOLDER_LAGS = (1, 2, 4, 8)  # index lags of the time-regularity pairs
 
 
 @dataclass(frozen=True)
@@ -40,39 +42,23 @@ class CouplingConfig:
     beta: Callable                       # (t, x) -> drift of the first path
     beta_hat: Optional[Callable] = None  # second drift (approx_delta only)
     control: Optional[Callable] = None   # (t, x) -> shared control term
-    coalesce_eps: Optional[float] = None
-    delta: float = 1e-2
+    delta: float = 1e-2                  # mollifier band width (approx_delta)
     master_seed: int = 20240901
-    bridge_gluing: bool = True
     chunk_size: int = _CHUNK_SIZE
     n_threads: int = 1
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown coupling kind {self.kind!r}")
-        if self.kind == "approx_delta":
-            if self.beta_hat is None:
-                raise ConfigError("approx_delta needs a second drift")
-            eps = self.coalesce_eps
-            if eps is not None and eps > self.delta / 2.0:
-                raise ConfigError("coalesce_eps must be <= delta / 2")
+        if self.kind == "approx_delta" and self.beta_hat is None:
+            raise ConfigError("approx_delta needs a second drift")
         if self.kind == "controlled_reflection" and self.control is None:
             raise ConfigError("controlled_reflection needs a control field")
 
     def eps_for(self, sigma0):
-        if self.coalesce_eps is not None:
-            return self.coalesce_eps
-        # default threshold matches the per-step noise scale, so the stated
-        # guard dt <= eps^2 / (8 sigma0^2) holds as equality
+        """The per-step noise scale sqrt(8 sigma0^2 dt): a reflected pair
+        closer than this is glued, a synchronous one counts as met."""
         return math.sqrt(8.0 * sigma0 ** 2 * self.dt)
-
-    def validate_dt(self, sigma0):
-        if not self.bridge_gluing and self.kind in _GLUE_KINDS:
-            eps = self.eps_for(sigma0)
-            if self.dt > eps ** 2 / (8.0 * sigma0 ** 2) * (1.0 + 1e-12):
-                raise ConfigError(
-                    "dt exceeds coalesce_eps^2 / (8 sigma0^2); enable bridge "
-                    "gluing or refine the step")
 
 
 @dataclass
@@ -364,12 +350,11 @@ def _simulate_chunk(config, diffusion, init_sampler, chunk_index, n_chunk,
                     # exp(-arg)); glued pairs stay glued and stay at 0
                     np.abs(d, out=nx)
                     np.logical_or(glued, np.less(nx, eps, out=flag), out=glued)
-                    if config.bridge_gluing:
-                        np.multiply(r_old, nx, out=tmp)
-                        np.divide(tmp, -bridge_var, out=tmp)   # -arg
-                        np.greater(tmp, -40.0, out=maybe)
-                        _bridge(tmp, u_step, maybe, below)
-                        np.logical_or(glued, maybe, out=glued)
+                    np.multiply(r_old, nx, out=tmp)
+                    np.divide(tmp, -bridge_var, out=tmp)   # -arg
+                    np.greater(tmp, -40.0, out=maybe)
+                    _bridge(tmp, u_step, maybe, below)
+                    np.logical_or(glued, maybe, out=glued)
                     np.copyto(d, 0.0, where=glued)
 
             if max(x.max(), -x.min()) > _OVERFLOW_GUARD:
@@ -419,7 +404,6 @@ def simulate_coupling(config: CouplingConfig, diffusion, init_sampler,
     tm supplies the concave cost f and the certified (lam, C) for the
     theoretical curves; tm2 optionally adds the quadratically growing cost.
     """
-    config.validate_dt(diffusion.sigma0)
     f_eval = (lambda r: tm.f(r)) if tm is not None else (lambda r: r)
     f2_eval = (lambda r: tm2.f2(r)) if tm2 is not None else None
     dt = config.dt
@@ -591,30 +575,21 @@ def moment_diagnostic(beta, diffusion, init_sampler, p, T, dt=1e-3,
 # ---------------------------------------------------------------------------
 # time-regularity diagnostics
 
-def time_regularity(times, marginals, kind="particles", xs=None,
-                    tv_floor_time=None, lags=(1, 2, 4, 8)):
-    """Empirical Hoelder constants of t -> mu_t in W1 (and TV for grids)."""
+def time_regularity(times, marginals):
+    """Empirical Hoelder-1/2 constant of t -> mu_t in W1.
+
+    marginals are particle clouds, one per time; pairs of times are
+    compared at the index lags _HOLDER_LAGS.
+    """
     times = np.asarray(times, dtype=float)
     if len(times) < 2:
         raise ConfigError("time regularity needs at least two time points")
     w1_best = 0.0
-    tv_best = 0.0
-    for lag in lags:
+    for lag in _HOLDER_LAGS:
         for i in range(len(times) - lag):
             gap = times[i + lag] - times[i]
             if gap <= 0:
                 continue
-            if kind == "particles":
-                d = w1_samples(marginals[i], marginals[i + lag])
-            else:
-                d = w1_grid(xs, marginals[i], marginals[i + lag], check=False)
+            d = w1_samples(marginals[i], marginals[i + lag])
             w1_best = max(w1_best, d / np.sqrt(gap))
-            if kind == "grid" and (tv_floor_time is None
-                                   or times[i] >= tv_floor_time):
-                tvd = tv_grid(xs, marginals[i], marginals[i + lag],
-                              check=False)
-                tv_best = max(tv_best, tvd / np.sqrt(gap))
-    out = {"w1_holder": w1_best}
-    if kind == "grid":
-        out["tv_holder"] = tv_best
-    return out
+    return {"w1_holder": w1_best}

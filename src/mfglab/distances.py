@@ -68,23 +68,33 @@ def w1_samples(a, b):
 
 
 def tv_grid(x, p, q, check=True):
-    """Total variation = half the L1 distance of the densities."""
+    """Total variation = half the L1 distance of the densities.
+
+    p and q may be stacks of densities along the last axis; the result then
+    holds one TV per pair of rows.
+    """
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     if check:
         _check_density(x, p)
         _check_density(x, q)
-    return 0.5 * float(np.trapezoid(np.abs(p - q), x))
+    tv = 0.5 * np.trapezoid(np.abs(p - q), x, axis=-1)
+    return float(tv) if tv.ndim == 0 else tv
 
 
-def f_norm(x, values, f, strides=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512)):
+# index strides of the f_norm pairs: near and far separations at
+# O(n * #strides) cost instead of all O(n^2) pairs
+_STRIDES = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
+
+
+def f_norm(x, values, f):
     """Measured ||v||_f = max |v(x) - v(y)| / f(|x - y|) over a pair pattern.
 
-    Pairs are (i, i + s) for each stride s, which covers both near and far
-    separations at O(n * #strides) cost instead of all O(n^2) pairs.
+    Pairs are (i, i + s) for each stride s of _STRIDES.
     """
     x = np.asarray(x, dtype=float)
     values = np.asarray(values, dtype=float)
     best = 0.0
-    for s in strides:
+    for s in _STRIDES:
         if s >= len(x):
             break
         dv = np.abs(values[s:] - values[:-s])

@@ -546,14 +546,11 @@ def turnpike_report(scenario: Scenario, flow: MeasureFlow,
     times = flow.times[idx]
     tm_bar = rc.tm_bar
 
-    d_flow = np.empty(len(idx))
-    for j, i in enumerate(idx):
-        if low:
-            d_flow[j] = tv_grid(xs, flow.densities[i], ergodic.mu_inf,
-                                check=False)
-        else:
-            d_flow[j] = w1_grid(xs, flow.densities[i], ergodic.mu_inf,
-                                check=False)
+    densities = flow.densities[idx]
+    distance = tv_grid if low else w1_grid
+    d_flow = distance(xs, densities,
+                      np.broadcast_to(ergodic.mu_inf, densities.shape),
+                      check=False)
     d_value = np.empty(len(idx))
     for j, t in enumerate(times):
         gap_grad = value.grad[value.slice_at(t)] - ergodic.grad_inf

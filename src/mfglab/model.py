@@ -504,23 +504,28 @@ def check_smallness(scenario: Scenario) -> SmallnessReport:
     lam_bar, C_bar = tm_bar.lam, tm_bar.C
 
     if tm_bar.degenerate:
-        value, threshold, outer = np.inf, 0.0, np.inf
+        value, threshold, outer_num, outer_den = np.inf, 0.0, np.inf, 0.0
     elif regime == "high":
         value = inter.C_xmu_F
         threshold = rho * C_bar ** 2 * lam_bar ** 2
-        outer = value / (rho * C_bar ** 2 * lam_bar ** 2) if threshold else np.inf
+        outer_num, outer_den = value, threshold
     elif regime == "mild":
         value = inter.C_mu_F
         threshold = np.sqrt(np.pi) / 4.0 * rho * sigma0 * C_bar ** 2 * lam_bar ** 1.5
-        outer = 4.0 * value / (np.sqrt(np.pi) * rho * C_bar ** 2
-                               * lam_bar ** 1.5 * sigma0)
+        outer_num = 4.0 * value
+        outer_den = np.sqrt(np.pi) * rho * C_bar ** 2 * lam_bar ** 1.5 * sigma0
     else:
         value = inter.C_mu_TV_F
         threshold = (rho * np.sqrt(np.pi) * sigma0 * lam_bar * C_bar
                      / (np.sqrt(np.e) * max(9.0, 4.0 + 7.0
                                             / (np.sqrt(np.pi) * C_bar * sigma0))))
-        outer = ((1.0 / (np.sqrt(np.pi) * C_bar * sigma0) + 0.5)
-                 * 4.0 * value / (np.sqrt(np.pi * lam_bar) * rho * C_bar * sigma0))
+        outer_num = ((1.0 / (np.sqrt(np.pi) * C_bar * sigma0) + 0.5)
+                     * 4.0 * value)
+        outer_den = np.sqrt(np.pi * lam_bar) * rho * C_bar * sigma0
+    # a weight that underflows leaves a zero denominator or a factor past
+    # the float range; either way the certified factor is inf
+    with np.errstate(over="ignore"):
+        outer = outer_num / outer_den if outer_den else np.inf
 
     # equality gives a unit contraction factor, so only a strict inequality
     # counts as a pass in every regime

@@ -17,6 +17,10 @@ from ._quad import QUAD_TOL, adaptive_simpson
 from .errors import ConfigError
 
 
+_N_PAIRS = 4096       # sampled pairs per radius of a measured profile
+_DW_R_FLOOR = 1e-3    # radius floor of the double-well closed form
+
+
 @dataclass(frozen=True)
 class KReport:
     """Outcome of a class-K certification run."""
@@ -124,7 +128,7 @@ def constant_profile(value, r_max=50.0, name=None):
                         r_max=r_max, name=name or f"const({v:g})")
 
 
-def double_well_profile(r_max=50.0, r_floor=1e-3):
+def double_well_profile(r_max=50.0):
     """Exact 1D profile of the drift x - x^3 with constant diffusion.
 
     The infimum over pairs at separation r of the one-sided rate is attained
@@ -132,7 +136,7 @@ def double_well_profile(r_max=50.0, r_floor=1e-3):
     floored to keep the closed form away from r = 0 exactly as tabulated.
     """
     def fn(r):
-        rr = np.maximum(np.asarray(r, dtype=float), r_floor)
+        rr = np.maximum(np.asarray(r, dtype=float), _DW_R_FLOOR)
         return rr * rr / 4.0 - 1.0
     return make_profile(fn, r_max=r_max, name="double_well")
 
@@ -140,29 +144,24 @@ def double_well_profile(r_max=50.0, r_floor=1e-3):
 # ---------------------------------------------------------------------------
 # profiles measured from a drift field
 
-def profile_of_drift(drift, diffusion, radius_grid, pair_sampler=None,
-                     box=(-8.0, 8.0), n_scan=4001, n_pairs=4096, seed=0,
-                     name="measured"):
+def profile_of_drift(drift, diffusion, radius_grid, box=(-8.0, 8.0),
+                     n_scan=4001, seed=0, name="measured"):
     """Estimate the monotonicity profile of a drift with respect to a diffusion.
 
     drift: vectorized map from points (n, d) or (n,) to drift values.
     In 1D with constant diffusion the pair set {(x, x + r)} is scanned on a
     dense grid, which is exact up to grid resolution.  In higher dimension
     random pairs at distance r are sampled and the estimated infimum is
-    deflated by 10% to stay conservative.
-
-    The default sampler draws the pairs of each radius from a generator
-    seeded by seed and that radius, so kappa(r) does not depend on which
-    radii were queried before.  pair_sampler(r, n) -> (x, x_hat) replaces
-    it and keeps its own state: its draws, and so kappa, may depend on
-    the order of the queries.
+    deflated by 10% to stay conservative.  The pairs of each radius come
+    from a generator seeded by seed and that radius, so kappa(r) does not
+    depend on which radii were queried before.
     """
     dim = getattr(diffusion, "dim", 1)
     radius_grid = np.asarray(radius_grid, dtype=float)
     if radius_grid.size == 0:
         raise ConfigError("empty radius grid")
 
-    if dim == 1 and getattr(diffusion, "is_constant", False) and pair_sampler is None:
+    if dim == 1 and getattr(diffusion, "is_constant", False):
         xs = np.linspace(box[0], box[1], n_scan)
         bx = np.asarray(drift(xs), dtype=float)
 
@@ -175,15 +174,6 @@ def profile_of_drift(drift, diffusion, radius_grid, pair_sampler=None,
                 out[i] = np.min((bx - bxr) / ri)
             return out.reshape(np.shape(r))
     else:
-        if pair_sampler is None:
-            def pair_sampler(r, n):
-                # one stream per radius, named by the bits of its cache key
-                rng = np.random.default_rng(
-                    [seed, int(np.float64(r).view(np.uint64))])
-                x = rng.uniform(box[0], box[1], size=(n, dim))
-                u = rng.normal(size=(n, dim))
-                u /= np.linalg.norm(u, axis=1, keepdims=True)
-                return x, x + r * u
         sampled = {}
 
         def fn(r):
@@ -194,9 +184,13 @@ def profile_of_drift(drift, diffusion, radius_grid, pair_sampler=None,
                 # sampled, so kappa is a function of it
                 ri = round(float(max(ri, 1e-12)), 12)
                 if ri not in sampled:
-                    x, xh = pair_sampler(ri, n_pairs)
-                    if len(x) == 0:
-                        raise ConfigError("pair sampler returned no pairs")
+                    # one stream per radius, named by the bits of its key
+                    rng = np.random.default_rng(
+                        [seed, int(np.float64(ri).view(np.uint64))])
+                    x = rng.uniform(box[0], box[1], size=(_N_PAIRS, dim))
+                    u = rng.normal(size=(_N_PAIRS, dim))
+                    u /= np.linalg.norm(u, axis=1, keepdims=True)
+                    xh = x + ri * u
                     bx, bxh = np.asarray(drift(x)), np.asarray(drift(xh))
                     d = x - xh
                     val = -np.sum((bx - bxh) * d, axis=1) / ri ** 2

@@ -118,11 +118,10 @@ def reference_chunk(config, diffusion, init_sampler, chunk_index, n_chunk,
             d_new = np.where(glued, 0.0, d + drift_d * dt + nd * sqdt)
             r_new = np.abs(d_new)
             hit = ~glued & (r_new < eps)
-            if config.bridge_gluing:
-                arg = r_old * r_new / (0.5 * v_refl * dt)
-                maybe = ~glued & ~hit & (arg < 40.0)
-                crossed = maybe & (u_step < np.exp(-np.where(maybe, arg, 0.0)))
-                hit = hit | crossed
+            arg = r_old * r_new / (0.5 * v_refl * dt)
+            maybe = ~glued & ~hit & (arg < 40.0)
+            crossed = maybe & (u_step < np.exp(-np.where(maybe, arg, 0.0)))
+            hit = hit | crossed
             glued = glued | hit
             d = np.where(glued, 0.0, d_new)
         elif approx:

@@ -296,6 +296,17 @@ def test_sweep_without_certified_rate_records_no_error(tmp_path):
     assert all(r.split(",")[4] == "" for r in rows)
 
 
+def test_sweep_with_error_row_exits_with_its_kind(tmp_path):
+    # the Z audit rejects the shifted metric at C_x_L 1.5: the sweep
+    # records a certification error, and no assertion failed
+    code = main(["sweep", "--scenario", "double_well_small", "--out",
+                 str(tmp_path), "--param", "running_cost.C_x_L",
+                 "--values", "1.5,3"])
+    assert code == EXIT_CODES["certification"] == 2
+    rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()[1:]
+    assert [r.split(",")[4] for r in rows] == ["CertificationError", ""]
+
+
 def test_check_base_without_rate_exit_2(tmp_path, capsys):
     out = tmp_path / "out"
     main(["check", "--scenario", "double_well_small", "--out", str(out)])

@@ -329,11 +329,6 @@ def test_draw_ahead_leaves_no_thread(tm_ou):
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError, match="coalesce_eps must be"):
-        CouplingConfig(kind="approx_delta", dt=1e-3, n_paths=10,
-                       t_grid=(1.0,), beta=lambda t, x: -x,
-                       beta_hat=lambda t, x: -x, delta=1e-3,
-                       coalesce_eps=1e-2)
     with pytest.raises(ConfigError, match="unknown coupling kind"):
         CouplingConfig(kind="mystery", dt=1e-3, n_paths=10, t_grid=(1.0,),
                        beta=lambda t, x: -x)
@@ -341,11 +336,6 @@ def test_config_validation():
                          t_grid=(0.0005,), beta=lambda t, x: -x)
     with pytest.raises(ConfigError, match="not on the dt grid"):
         simulate_coupling(cfg, DIFF, pair_at_distance(1.0))
-    strict = CouplingConfig(kind="reflection", dt=1e-3, n_paths=10,
-                            t_grid=(1.0,), beta=lambda t, x: -x,
-                            bridge_gluing=False, coalesce_eps=1e-6)
-    with pytest.raises(ConfigError, match="dt exceeds coalesce_eps"):
-        simulate_coupling(strict, DIFF, pair_at_distance(1.0))
 
 
 def test_duplicate_output_times_rejected(tm_ou):

@@ -47,6 +47,20 @@ def test_w1_stacked_equals_per_row(grid):
         w1_grid(grid, p, np.concatenate([q[:-1], 2.0 * q[-1:]]))
 
 
+def test_stacks_against_one_law_equal_per_row(grid):
+    # a stack of densities against one law broadcast to its shape gives
+    # each row's scalar distance, exactly, for W1 and for TV
+    p = np.stack([gauss(grid, m, 0.5 + m * m)
+                  for m in np.linspace(-1.0, 1.0, 70)])
+    q = gauss(grid, 0.2, 1.0)
+    qs = np.broadcast_to(q, p.shape)
+    for dist in (w1_grid, tv_grid):
+        stacked = dist(grid, p, qs)
+        assert stacked.shape == (len(p),)
+        np.testing.assert_array_equal(
+            stacked, [dist(grid, row, q) for row in p])
+
+
 def test_w1_samples_matches_grid():
     rng = np.random.default_rng(5)
     a = rng.normal(0.0, 1.0, 40_000)

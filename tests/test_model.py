@@ -193,6 +193,20 @@ def test_smallness_without_certified_rate_fails(kind, C_x_L):
     assert rep.epsilon(0.0) == np.inf
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("overrides", [
+    {"regime": "mild", "running_cost.C_x_L": 2.0},     # C_bar ** 2 is 0
+    {"regime": "low", "running_cost.C_L_osc": 2.8}])   # the factor overflows
+def test_smallness_outer_factor_past_float_range(overrides):
+    # a shifted weight that underflows leaves the ergodic map's outer
+    # factor at inf, with no divide-by-zero or overflow on the way
+    rep = check_smallness(load_scenario("double_well_small", {
+        "interaction.c": 0.01, "mu0.mean": 0.0, **overrides}))
+    assert not rep.tm_bar.degenerate
+    assert rep.outer_factor == np.inf
+    assert rep.passes is False
+
+
 def test_smallness_base_metric_without_rate_raises():
     sc = load_scenario("double_well_small", {"diffusion.sigma": 0.03})
     with pytest.raises(CertificationError, match="certifies no rate"):

@@ -1,6 +1,6 @@
 """mfglab: coupling rates, stochastic control bounds, and mean-field-game
-turnpike verification at desk scale (1D PDEs and couplings, d-dimensional
-matrix factor and sampled profiles).
+turnpike verification at desk scale (1D PDEs, couplings and profiles; the
+reduced diffusion factor also in d dimensions).
 
 ``import mfglab`` loads the numpy layer only: profiles, twisted metrics,
 scenarios, W1/TV distances and couplings.  The PDE layer and exact W_f
@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 from .errors import MfglabError
 from .profiles import (MonotonicityProfile, KReport, make_profile,
                        certify_class_K, constant_profile, double_well_profile,
-                       profile_of_drift, shift_profile)
+                       shift_profile)
 from .metrics import (TwistedMetric, QuadraticTwistedMetric,
                       build_twisted_metric, build_quadratic_metric,
                       check_differential_inequality, q_kernel, q_integral,
@@ -46,8 +46,7 @@ _LAZY = {
                 "box_doubling_check", "BoundLedger"),
     "mfg": ("ErgodicSolution", "TurnpikeReport", "TurnpikeConstants",
             "frozen_solve", "solve_mfg", "frozen_ergodic",
-            "solve_ergodic_mfg", "turnpike_constants", "turnpike_report",
-            "moment_bound"),
+            "solve_ergodic_mfg", "turnpike_constants", "turnpike_report"),
 }
 _LAZY_HOME = {name: module for module, names in _LAZY.items()
               for name in names}

@@ -298,6 +298,8 @@ def cmd_turnpike(sc, run, args):
                lam_in=(v["lam_in"] if v["lam_in"] is not None else "none"),
                lam_out=(v["lam_out"] if v["lam_out"] is not None else "none"),
                lam_star=v["lam_star"])
+    run.record("turnpike_moment", v["moment_ok"], measured=v["moment"],
+               bound=v["moment_cap"])
     run.plot_script(["plot 'turnpike.csv' using 1:2 with lines title "
                      "'d_flow', '' using 1:4 with lines title 'bound'"])
 

@@ -425,12 +425,6 @@ class QuadraticTwistedMetric:
     def f2(self, r):
         return self.base.f(r) + self.a_bar * self.f_R(r)
 
-    def f2prime(self, r):
-        return self.base.fprime(r) + self.a_bar * self.f_R_prime(r)
-
-    def q(self, t):
-        return q_kernel(self.base.C, self.base.lam, self.base.sigma_check, t)
-
 
 def build_quadratic_metric(tm_half: TwistedMetric, sigma0, kappa_plus,
                            R1_choice) -> QuadraticTwistedMetric:

@@ -367,8 +367,8 @@ class TurnpikeConstants:
     C_i: float
     C_f_flow: float
     value_terms: dict
-    M1: Optional[float] = None
-    M1_tilde: Optional[float] = None
+    M1: float
+    M1_tilde: float
 
     def flow_bound(self, t, T, W0, regime, tm_bar):
         """Envelope of the measured flow distance from W0 = W_f at t = 0.
@@ -470,7 +470,7 @@ def turnpike_constants(scenario: Scenario, rc: SmallnessReport,
                        * (1.0 - eps)) + 1.0)
             * (16.0 - 4.0 * sqrt_e) * C_x_psi / C_bar}
 
-    # first-moment fallbacks from the uncontrolled invariant law
+    # first-moment caps from the uncontrolled invariant law
     grid = scenario.grid
     mu_b = stationary_density_cc(grid, scenario.diffusion, scenario.drift.b)
     mom_b = float(np.trapezoid(np.abs(xs) * mu_b, xs))
@@ -487,22 +487,6 @@ def turnpike_constants(scenario: Scenario, rc: SmallnessReport,
     return TurnpikeConstants(lam=lam, tau_G=tau_G, C_i=C_i,
                              C_f_flow=C_f_flow, value_terms=value_terms,
                              M1=M1, M1_tilde=M1_tilde)
-
-
-def tau_prime_bounded(rc: SmallnessReport, g_sup):
-    """Settling time for bounded terminal data: kernel level crossing."""
-    tm_b = rc.tm_b
-    lam_b, C_b = tm_b.lam, tm_b.C
-    knee = 1.0 / (2.0 * lam_b)
-    if g_sup <= 0.0:
-        return 0.0
-    if q_kernel(C_b, lam_b, tm_b.sigma_check, knee) * g_sup <= rc.C_x_psi:
-        # crossing happens in the algebraic branch
-        tau = (g_sup / (np.sqrt(2.0 * np.pi) * C_b * tm_b.sigma_check
-                        * rc.C_x_psi)) ** 2
-        return min(tau, knee)
-    amp = np.sqrt(lam_b * np.e) / (np.sqrt(np.pi) * C_b * tm_b.sigma_check)
-    return np.log(amp * g_sup / rc.C_x_psi) / lam_b
 
 
 @dataclass
@@ -576,6 +560,10 @@ def turnpike_report(scenario: Scenario, flow: MeasureFlow,
     flow_pass = ~window | within_bound(d_flow, bound_flow)
     value_ok = bool(np.all(within_bound(d_value[window], bound_value[window])))
     half_star = 0.5 * rc.lambda_star
+    # the first moment stays bounded in time: the turnpike holds on R, not
+    # only on the box; judged on every stored slice
+    moment = float(np.max(flow.moment()))
+    moment_cap = min(constants.M1, constants.M1_tilde)
     verdicts = {
         "flow_bound": bool(np.all(flow_pass)),
         "value_bound": value_ok,
@@ -585,24 +573,11 @@ def turnpike_report(scenario: Scenario, flow: MeasureFlow,
         # an absent transient has no rate to exhibit: vacuously fine
         "rates_ok": bool((lam_in is None or lam_in >= half_star)
                          and (lam_out is None or lam_out >= half_star)),
+        "moment": moment, "moment_cap": moment_cap,
+        "moment_ok": bool(within_bound(moment, moment_cap)),
     }
     return TurnpikeReport(times=times, d_flow=d_flow, d_value=d_value,
                           bound_flow=bound_flow, window=window,
                           flow_pass=flow_pass, W0=W0,
                           constants=constants, verdicts=verdicts)
 
-
-def moment_bound(scenario: Scenario, flow: MeasureFlow,
-                 constants: TurnpikeConstants, g_sup=None, g_fnorm=None):
-    """sup_t of the first absolute moment against the explicit fallbacks."""
-    measured = float(np.max(flow.moment(1)))
-    caps = []
-    if g_sup is not None and constants.M1 is not None:
-        caps.append(constants.M1)
-    if g_fnorm is not None and constants.M1_tilde is not None:
-        caps.append(constants.M1_tilde)
-    if not caps:
-        return {"measured": measured, "bound": None, "available": False}
-    bound = min(caps)
-    return {"measured": measured, "bound": bound, "available": True,
-            "pass": bool(within_bound(measured, bound))}

@@ -75,11 +75,10 @@ class ParticleCloud:
 @dataclass(frozen=True)
 class DiffusionSpec:
     """sigma(x) with ellipticity window [sqrt(2) sigma0, sqrt(2) Sigma]."""
-    fn: Callable                    # x -> scalar sigma (dim 1) or matrix
+    fn: Callable                    # x -> scalar sigma, or a matrix
     sigma0: float
     Sigma: float
     C_x_sigma: float = 0.0
-    dim: int = 1
     is_constant: bool = False
 
     def sigma_at(self, x):
@@ -91,14 +90,6 @@ class DiffusionSpec:
         if np.any(val < -1e-12):
             raise ConfigError("sigma^2 - sigma0^2 negative: ellipticity violated")
         return np.sqrt(np.maximum(val, 0.0))
-
-    def sigma_bar_at(self, x):
-        """Matrix square root of sigma sigma^T - sigma0^2 I at points (n, d)."""
-        if self.dim == 1:
-            s = self.sigma_bar_scalar(np.asarray(x, dtype=float).reshape(-1))
-            return s.reshape(-1, 1, 1)
-        mats = np.asarray(self.fn(np.asarray(x, dtype=float)))
-        return np.stack([sigma_bar(self, m) for m in mats])
 
 
 def sigma_bar(diffusion: DiffusionSpec, x_or_matrix):
@@ -115,18 +106,17 @@ def sigma_bar(diffusion: DiffusionSpec, x_or_matrix):
     return (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
 
 
-def constant_diffusion(sigma, dim=1):
+def constant_diffusion(sigma):
     """Constant scalar sigma; sigma0 is the largest admissible floor."""
     sig = float(sigma)
     s0 = sig / np.sqrt(2.0)
     return DiffusionSpec(fn=lambda x: np.full_like(np.asarray(x, dtype=float), sig),
-                         sigma0=s0, Sigma=s0, C_x_sigma=0.0,
-                         dim=dim, is_constant=True)
+                         sigma0=s0, Sigma=s0, C_x_sigma=0.0, is_constant=True)
 
 
 def varying_diffusion(fn, sigma0, Sigma, C_x_sigma):
     return DiffusionSpec(fn=fn, sigma0=float(sigma0), Sigma=float(Sigma),
-                         C_x_sigma=float(C_x_sigma), dim=1, is_constant=False)
+                         C_x_sigma=float(C_x_sigma), is_constant=False)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from ._quad import QUAD_TOL, adaptive_simpson
 from .errors import ConfigError
 
 
-_N_PAIRS = 4096       # sampled pairs per radius of a measured profile
 _DW_R_FLOOR = 1e-3    # radius floor of the double-well closed form
 
 
@@ -139,71 +138,6 @@ def double_well_profile(r_max=50.0):
         rr = np.maximum(np.asarray(r, dtype=float), _DW_R_FLOOR)
         return rr * rr / 4.0 - 1.0
     return make_profile(fn, r_max=r_max, name="double_well")
-
-
-# ---------------------------------------------------------------------------
-# profiles measured from a drift field
-
-def profile_of_drift(drift, diffusion, radius_grid, box=(-8.0, 8.0),
-                     n_scan=4001, seed=0, name="measured"):
-    """Estimate the monotonicity profile of a drift with respect to a diffusion.
-
-    drift: vectorized map from points (n, d) or (n,) to drift values.
-    In 1D with constant diffusion the pair set {(x, x + r)} is scanned on a
-    dense grid, which is exact up to grid resolution.  In higher dimension
-    random pairs at distance r are sampled and the estimated infimum is
-    deflated by 10% to stay conservative.  The pairs of each radius come
-    from a generator seeded by seed and that radius, so kappa(r) does not
-    depend on which radii were queried before.
-    """
-    dim = getattr(diffusion, "dim", 1)
-    radius_grid = np.asarray(radius_grid, dtype=float)
-    if radius_grid.size == 0:
-        raise ConfigError("empty radius grid")
-
-    if dim == 1 and getattr(diffusion, "is_constant", False):
-        xs = np.linspace(box[0], box[1], n_scan)
-        bx = np.asarray(drift(xs), dtype=float)
-
-        def fn(r):
-            r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-            out = np.empty_like(r_arr)
-            for i, ri in enumerate(r_arr):
-                ri = max(ri, 1e-12)
-                bxr = np.asarray(drift(xs + ri), dtype=float)
-                out[i] = np.min((bx - bxr) / ri)
-            return out.reshape(np.shape(r))
-    else:
-        sampled = {}
-
-        def fn(r):
-            r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-            out = np.empty_like(r_arr)
-            for i, ri in enumerate(r_arr):
-                # the rounded radius is both the cache key and the radius
-                # sampled, so kappa is a function of it
-                ri = round(float(max(ri, 1e-12)), 12)
-                if ri not in sampled:
-                    # one stream per radius, named by the bits of its key
-                    rng = np.random.default_rng(
-                        [seed, int(np.float64(ri).view(np.uint64))])
-                    x = rng.uniform(box[0], box[1], size=(_N_PAIRS, dim))
-                    u = rng.normal(size=(_N_PAIRS, dim))
-                    u /= np.linalg.norm(u, axis=1, keepdims=True)
-                    xh = x + ri * u
-                    bx, bxh = np.asarray(drift(x)), np.asarray(drift(xh))
-                    d = x - xh
-                    val = -np.sum((bx - bxh) * d, axis=1) / ri ** 2
-                    sb = diffusion.sigma_bar_at(x) - diffusion.sigma_bar_at(xh)
-                    val -= np.sum(sb * sb, axis=(1, 2)) / (2.0 * ri ** 2)
-                    m = float(np.min(val))
-                    sampled[ri] = m - 0.1 * abs(m)
-                out[i] = sampled[ri]
-            return out.reshape(np.shape(r))
-
-    r_max = float(radius_grid.max())
-    r_min = float(max(radius_grid.min(), 1e-6))
-    return make_profile(fn, r_min=r_min, r_max=r_max, name=name)
 
 
 # ---------------------------------------------------------------------------

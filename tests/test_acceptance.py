@@ -335,7 +335,7 @@ def test_criterion_12_exact_fixed_point():
 def test_criterion_13_appendix_properties(ou_diff):
     rng = np.random.default_rng(13)
     # reduced-factor matrix Lipschitz bound on random SPD pairs
-    diff2 = constant_diffusion(np.sqrt(2.0), dim=2)
+    diff2 = constant_diffusion(np.sqrt(2.0))
     lo, hi = 2.0 * diff2.sigma0 ** 2 * 1.05, 2.0 * diff2.Sigma ** 2 * 4.0
     Sigma_eff = np.sqrt(hi / 2.0)
     factor = 2.0 * Sigma_eff / diff2.sigma0

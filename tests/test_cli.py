@@ -82,6 +82,12 @@ def test_turnpike_repeat_determinism(quick_mean_scenario, tmp_path):
     csv_a = (tmp_path / "a" / "lq_mean-turnpike" / "turnpike.csv").read_bytes()
     csv_b = (tmp_path / "b" / "lq_mean-turnpike" / "turnpike.csv").read_bytes()
     assert csv_a == csv_b
+    summary = json.loads((tmp_path / "a" / "lq_mean-turnpike"
+                          / "summary.json").read_text())
+    moment = summary["assertions"]["turnpike_moment"]
+    assert moment["pass"]
+    assert isinstance(moment["measured"], float)
+    assert isinstance(moment["bound"], float)
 
 
 def test_double_well_turnpike_repeat_determinism(tmp_path):

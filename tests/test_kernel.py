@@ -222,6 +222,19 @@ def test_measure_flow_at_array_matches_scalar(seed, n_times, n_extra):
     np.testing.assert_array_equal(flow.at(times), dens)
 
 
+@given(seed=st.integers(0, 2 ** 32 - 1), n_times=st.integers(1, 20),
+       n_x=st.integers(2, 300))
+def test_measure_flow_moment_matches_trapezoid(seed, n_times, n_x):
+    # the matrix-vector moment is the trapezoid of |x| times each slice
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-10.0, 5.0)
+    xs = np.linspace(lo, lo + rng.uniform(1e-2, 20.0), n_x)
+    dens = rng.uniform(1e-3, 2.0, (n_times, n_x))
+    flow = MeasureFlow(times=np.arange(float(n_times)), xs=xs, densities=dens)
+    reference = np.trapezoid(np.abs(xs) * dens, xs, axis=1)
+    np.testing.assert_allclose(flow.moment(), reference, rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.filterwarnings("error")
 def test_value_grad_at_one_slice():
     # solve_hjb at T = 0 stores one slice; every time, the stored one

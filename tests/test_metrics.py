@@ -265,7 +265,6 @@ def test_quadratic_metric_constant_one():
     rr = np.linspace(1e-3, 19.9, 400)
     assert np.all(qtm.f2(rr) >= qtm.C2 * rr ** 2 - 1e-12)
     assert qtm.f2(0.0) == 0.0
-    assert qtm.f2prime(0.0) > 0.0
 
 
 def test_quadratic_metric_validation():

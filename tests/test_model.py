@@ -36,7 +36,7 @@ def test_sigma_bar_scalar_formula():
 
 def test_sigma_bar_matrix_reconstruction():
     rng = np.random.default_rng(4)
-    diff = constant_diffusion(np.sqrt(2.0), dim=2)
+    diff = constant_diffusion(np.sqrt(2.0))
     for _ in range(20):
         q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
         eig = rng.uniform(2.0 * diff.sigma0 ** 2 * 1.05, 3.5, size=2)
@@ -48,7 +48,7 @@ def test_sigma_bar_matrix_reconstruction():
 
 
 def test_sigma_bar_ellipticity_violation():
-    diff = constant_diffusion(np.sqrt(2.0), dim=2)
+    diff = constant_diffusion(np.sqrt(2.0))
     bad = 0.5 * diff.sigma0 * np.eye(2)
     with pytest.raises(ConfigError, match="is not PSD"):
         sigma_bar(diff, bad)

@@ -5,16 +5,9 @@ from hypothesis import strategies as st
 
 from mfglab.errors import ConfigError
 from mfglab.profiles import (make_profile, certify_class_K, constant_profile,
-                             double_well_profile, profile_of_drift,
-                             shift_profile)
+                             double_well_profile, shift_profile)
 
-
-class ConstantDiffusion1D:
-    dim = 1
-    is_constant = True
-
-    def sigma_bar_at(self, x):
-        return np.zeros((len(x), 1, 1))
+from profile_reference import scanned_profile
 
 
 def test_certify_constant_profile_trivial():
@@ -45,54 +38,19 @@ def test_non_finite_evaluator_raises():
 
 
 def test_profile_of_linear_drift_is_constant():
-    prof = profile_of_drift(lambda x: -x, ConstantDiffusion1D(),
-                            np.linspace(0.1, 10.0, 25))
+    # the drift -x contracts every pair at rate 1: the constant profile 1
     rr = np.linspace(0.1, 9.0, 40)
-    assert np.allclose(prof(rr), 1.0, atol=1e-12)
+    assert np.allclose(scanned_profile(lambda x: -x, rr), 1.0, atol=1e-12)
+    assert np.array_equal(constant_profile(1.0)(rr), np.ones_like(rr))
 
 
 def test_profile_of_double_well_matches_closed_form():
     # grid scan of x - x^3 must reproduce r^2/4 - 1 (midpoint-pair infimum)
-    prof = profile_of_drift(lambda x: x - x ** 3, ConstantDiffusion1D(),
-                            np.linspace(0.05, 8.0, 20), box=(-10.0, 10.0),
-                            n_scan=20001)
     rr = np.linspace(0.05, 7.5, 30)
-    assert np.allclose(prof(rr), rr ** 2 / 4.0 - 1.0, atol=2e-5)
-
-
-def test_profile_of_drift_2d_isotropic():
-    class ConstDiff2D:
-        dim = 2
-        is_constant = True
-
-        def sigma_bar_at(self, x):
-            return np.zeros((len(x), 2, 2))
-
-    prof = profile_of_drift(lambda x: -x, ConstDiff2D(),
-                            np.linspace(0.2, 5.0, 8), seed=3)
-    # exact infimum is 1; the sampled estimate is deflated by 10%
-    vals = prof(np.linspace(0.3, 4.0, 9))
-    assert np.all(vals <= 1.0 + 1e-9)
-    assert np.all(vals >= 0.9 - 1e-9)
-
-
-def test_sampled_profile_does_not_depend_on_query_order():
-    class ConstDiff2D:
-        dim = 2
-        is_constant = True
-
-        def sigma_bar_at(self, x):
-            return np.zeros((len(x), 2, 2))
-
-    def build():
-        return profile_of_drift(lambda x: -x - 0.3 * x ** 3, ConstDiff2D(),
-                                np.linspace(0.2, 5.0, 8), seed=3)
-
-    radii = [1.7, 2.0, 3.0]
-    one, two = build(), build()
-    forward = [one(r) for r in radii]
-    backward = [two(r) for r in radii[::-1]][::-1]
-    assert forward == backward
+    scan = scanned_profile(lambda x: x - x ** 3, rr, box=(-10.0, 10.0),
+                           n_scan=20001)
+    assert np.allclose(scan, rr ** 2 / 4.0 - 1.0, atol=2e-5)
+    assert np.allclose(double_well_profile()(rr), scan, atol=2e-5)
 
 
 def test_shift_profile_grad_mode():
@@ -125,11 +83,6 @@ def test_shift_profile_hess_mode():
     grad = shift_profile(base, 0.6, mode="grad")
     rr = np.geomspace(0.01, 40.0, 60)
     assert np.all(shifted(rr) >= grad(rr) - 1e-12)
-
-
-def test_empty_radius_grid_rejected():
-    with pytest.raises(ConfigError, match="empty radius grid"):
-        profile_of_drift(lambda x: -x, ConstantDiffusion1D(), np.array([]))
 
 
 def scanned_tail_inf(prof, r_lo):

@@ -282,8 +282,9 @@ def cmd_turnpike(sc, run, args):
             f"strength margin {rep.margin:.3g} < 1 leaves no certified rate; "
             f"rerun with --force to iterate anyway")
     sol = solve_ergodic_mfg(sc, force=args.force, smallness=rep)
-    flow, value, trace, _ = solve_mfg(sc, force=args.force, smallness=rep,
-                                      tol=args.tol)
+    # the run records no Picard trace, so it measures no contraction factor
+    flow, value, _, _ = solve_mfg(sc, force=args.force, smallness=rep,
+                                  tol=args.tol, track_contraction=False)
     report = turnpike_report(sc, flow, value, sol, rep)
     write_csv(run.file("turnpike.csv"),
               ["t", "d_flow", "d_value", "bound", "pass"],

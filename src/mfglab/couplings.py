@@ -7,7 +7,11 @@ bit-identical for any worker count.  Coalescence mirrors the exact meeting
 time by one rule: a pair is glued when a Brownian-bridge test says the
 continuous radial path crossed zero inside the step, or when the separation
 falls below the per-step noise scale sqrt(8 sigma0^2 dt) (gluing late, never
-early, so measured contraction is only weakened).
+early, so measured contraction is only weakened).  A glued pair moves as one
+path from then on, so the reflected kinds draw noise and compute only for
+their unglued pairs: each step of their stream holds the draws of the pairs
+still apart.  The synchronous and mollified kinds draw for every path on
+every step.
 """
 
 import contextlib
@@ -28,13 +32,20 @@ KINDS = ("synchronous", "reflection", "controlled_reflection", "interpolated",
 _GLUE_KINDS = ("reflection", "controlled_reflection", "interpolated")
 _CHUNK_SIZE = 16384       # paths per chunk, each with its own RNG stream
 _OVERFLOW_GUARD = 1e7     # |x| beyond which a path run aborts
-_DRAW_BLOCK = 1 << 18     # draws per block of noise drawn ahead (2 MB)
+_DRAW_BLOCK = 1 << 17     # draws per block of noise drawn ahead (1 MB)
 _MOMENT_TIMES = 41        # output times of the moment diagnostic
 _HOLDER_LAGS = (1, 2, 4, 8)  # index lags of the time-regularity pairs
 
 
 @dataclass(frozen=True)
 class CouplingConfig:
+    """One coupling run.
+
+    beta, beta_hat and control are called as f(t, x) on an array of
+    positions and must act pointwise: entry i of the result depends on x[i]
+    alone.  The reflected kinds call them on their unglued pairs only.
+    """
+
     kind: str
     dt: float
     n_paths: int
@@ -108,8 +119,9 @@ def _fill_step(rng, rows):
     """One step's draws, in stream order: z1, z3, u, then z2 if asked."""
     rng.standard_normal(out=rows[0])
     rng.standard_normal(out=rows[1])
-    # fixed draw counts per step keep streams aligned across variants
-    # (common random numbers for the delta-extrapolation runs)
+    # the synchronous and mollified kinds draw for every path on every step:
+    # fixed draw counts keep their streams aligned across variants (common
+    # random numbers for the delta-extrapolation runs)
     rng.random(out=rows[2])
     if len(rows) > 3:
         rng.standard_normal(out=rows[3])
@@ -118,13 +130,14 @@ def _fill_step(rng, rows):
 def _draws(rng, n_rows, n_chunk, n_steps, pool):
     """Yield each step's draws as rows (z1, z3, u[, z2]), in stream order.
 
-    Without a pool each step is drawn when it is asked for.  With a pool
-    (one worker) the rows are filled a block of steps at a time, by the
-    same calls in the same order, so the stream is unchanged, and the next
-    block is filled while the caller uses the current one; the Generator
-    releases the GIL while it fills an array.  Errors of a fill reach the
-    caller through ``result()``; a fill still in flight when the caller
-    stops early is waited for by the pool's shutdown.
+    For the kinds with fixed draw counts per step (synchronous and
+    mollified).  Without a pool each step is drawn when it is asked for.
+    With a pool (one worker) the rows are filled a block of steps at a
+    time, by the same calls in the same order, so the stream is unchanged,
+    and the next block is filled while the caller uses the current one; the
+    Generator releases the GIL while it fills an array.  Errors of a fill
+    reach the caller through ``result()``; a fill still in flight when the
+    caller stops early is waited for by the pool's shutdown.
     """
     if pool is None:
         rows = np.empty((n_rows, n_chunk))
@@ -161,16 +174,25 @@ def _simulate_chunk(config, diffusion, init_sampler, chunk_index, n_chunk,
     paths cannot tunnel through the band, so sign flips happen only through
     the drift, never through a discrete noise overshoot.
 
+    A glued reflected pair moves as one path from then on, and no estimator
+    reads its X, so the reflected kinds carry only their unglued pairs: the
+    first n entries of each buffer, in path order, with ``idx`` their path
+    indices.  A step draws z1, z3, u (then z2) for those n pairs only, and
+    a step that glues pairs compacts them out (its one allocation is the
+    index array of the pairs kept); an output step scatters D back to path
+    order, 0 where glued.  The other kinds carry every path.
+
     Each step works in preallocated buffers and keeps the evaluation order
     of the plain expressions it implements (noted beside each block), so
     the estimators do not depend on how the step is laid out.  With
-    draw_ahead a one-worker pool draws the next block of noise meanwhile.
+    draw_ahead (synchronous and mollified kinds only) a one-worker pool
+    draws the next block of noise meanwhile.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence((config.master_seed, chunk_index)))
     x, xh = init_sampler(n_chunk, rng)
-    x = np.asarray(x, dtype=float).copy()
-    d = x - np.asarray(xh, dtype=float)
+    x_buf = np.asarray(x, dtype=float).copy()
+    d_buf = x_buf - np.asarray(xh, dtype=float)
     dt = config.dt
     sqdt = math.sqrt(dt)
     sigma0 = diffusion.sigma0
@@ -180,24 +202,24 @@ def _simulate_chunk(config, diffusion, init_sampler, chunk_index, n_chunk,
     approx = kind == "approx_delta"
     delta = config.delta
     half_band = 0.5 * delta
-    glued = np.zeros(n_chunk, dtype=bool)      # reflected kinds only
+    glued = np.zeros(n_chunk, dtype=bool)      # reflected kinds' records
     in_band = np.zeros(n_chunk, dtype=bool)    # mollified kind only
     if approx:
-        in_band = np.abs(d) <= half_band
+        in_band = np.abs(d_buf) <= half_band
 
     n_out = len(out_steps)
     sums = np.zeros((n_out, 6))  # f, f^2, neq, f2, f2^2, r
-    f0 = f_eval(np.abs(d))
+    f0 = f_eval(np.abs(d_buf))
     acc0 = np.array([np.sum(f0), np.sum(f0 ** 2)])
     f2_0 = np.zeros(2)
     if f2_eval is not None:
-        v = f2_eval(np.abs(d))
+        v = f2_eval(np.abs(d_buf))
         f2_0 = np.array([np.sum(v), np.sum(v ** 2)])
 
     step_of = {s: j for j, s in enumerate(out_steps)}
     n_steps = max(out_steps)
     if 0 in step_of:
-        _record(sums[step_of[0]], d, glued, f_eval, f2_eval, eps, kind,
+        _record(sums[step_of[0]], d_buf, glued, f_eval, f2_eval, eps, kind,
                 delta)
 
     if kind == "synchronous":
@@ -212,29 +234,42 @@ def _simulate_chunk(config, diffusion, init_sampler, chunk_index, n_chunk,
         c1, c2 = sigma0, 2.0 * sigma0
     bridge_var = 0.5 * v_refl * dt
     # a constant sigma_bar is one scalar, and then dsb = sb_x - sb_xh is 0
-    sb_const = (np.ravel(diffusion.sigma_bar_scalar(x[:1]))[0]
+    sb_const = (np.ravel(diffusion.sigma_bar_scalar(x_buf[:1]))[0]
                 if diffusion.is_constant else None)
 
-    def buf(dtype=float):
-        return np.empty(n_chunk, dtype=dtype)
-
-    r_old, xh, drift_d, nx, nd, tmp = (buf() for _ in range(6))
-    bxa, bxha, dsb = (buf() for _ in range(3))
-    flag, maybe, below = buf(bool), buf(bool), buf(bool)
+    # work rows r_old, xh, drift_d, nx, nd, tmp, then bxa, bxha (with a
+    # control) and dsb (with a varying sigma_bar)
+    work = [np.empty(n_chunk) if need else None for need in
+            (True,) * 6 + (config.control is not None,) * 2
+            + (sb_const is None,)]
+    bits = np.empty((3, n_chunk), dtype=bool)
     has_nd = c2 is not None or sb_const is None     # else nd is 0
     n_rows = 4 if kind in ("interpolated", "approx_delta") else 3  # z2 too
+    if glue_kind:
+        rows = np.empty((n_rows, n_chunk))
+        idx, idx_spare = np.arange(n_chunk), np.empty(n_chunk, dtype=np.intp)
     if approx:
-        rc, sc, d_band, r_free, sign = (buf() for _ in range(5))
-        out_band = buf(bool)
+        rc, sc, d_band, r_free, sign = np.empty((5, n_chunk))
+        out_band = np.empty(n_chunk, dtype=bool)
+    n, n_view = n_chunk, -1     # pairs carried; length of the views below
     # a fill in flight when the loop stops early is waited for on exit
     with (ThreadPoolExecutor(max_workers=1) if draw_ahead
           else contextlib.nullcontext()) as pool:
-        noise = _draws(rng, n_rows, n_chunk, n_steps, pool)
+        noise = None if glue_kind else _draws(rng, n_rows, n_chunk, n_steps,
+                                              pool)
 
         for k in range(n_steps):
-            t = k * dt
-            if glue_kind and np.all(glued):
+            if n == 0:
                 break
+            if n != n_view:
+                x, d = x_buf[:n], d_buf[:n]
+                r_old, xh, drift_d, nx, nd, tmp, bxa, bxha, dsb = (
+                    None if w is None else w[:n] for w in work)
+                flag, maybe, below = bits[:, :n]
+                if glue_kind:
+                    step = rows[:, :n]
+                n_view = n
+            t = k * dt
             np.abs(d, out=r_old)
             np.subtract(x, d, out=xh)
 
@@ -246,7 +281,10 @@ def _simulate_chunk(config, diffusion, init_sampler, chunk_index, n_chunk,
                 bxh = np.add(bxh, a, out=bxha)
             np.subtract(bx, bxh, out=drift_d)
 
-            step = next(noise)
+            if glue_kind:
+                _fill_step(rng, step)
+            else:
+                step = next(noise)
             z1, z3, u_step = step[0], step[1], step[2]
             if sb_const is None:
                 sb_x = diffusion.sigma_bar_scalar(x)
@@ -345,26 +383,45 @@ def _simulate_chunk(config, diffusion, init_sampler, chunk_index, n_chunk,
                     np.multiply(nd, sqdt, out=tmp)
                     np.add(d, tmp, out=d)
                 if glue_kind:
-                    # newly glued: r_new < eps, or the bridge says the path
-                    # crossed 0 (arg = r_old r_new / bridge_var < 40 and u <
-                    # exp(-arg)); glued pairs stay glued and stay at 0
+                    # glued this step (flag): r_new < eps, or the bridge says
+                    # the path crossed 0 (arg = r_old r_new / bridge_var < 40
+                    # and u < exp(-arg))
                     np.abs(d, out=nx)
-                    np.logical_or(glued, np.less(nx, eps, out=flag), out=glued)
+                    np.less(nx, eps, out=flag)
                     np.multiply(r_old, nx, out=tmp)
                     np.divide(tmp, -bridge_var, out=tmp)   # -arg
                     np.greater(tmp, -40.0, out=maybe)
                     _bridge(tmp, u_step, maybe, below)
-                    np.logical_or(glued, maybe, out=glued)
-                    np.copyto(d, 0.0, where=glued)
+                    np.logical_or(flag, maybe, out=flag)
 
             if max(x.max(), -x.min()) > _OVERFLOW_GUARD:
                 raise NumericalError(
                     "path overflow: reduce dt or check the drift")
+            if glue_kind and flag.any():
+                # keep the unglued pairs, in path order: x and d are taken
+                # into the rows of r_old and xh, which are free by now, and
+                # swap places with them
+                keep = np.flatnonzero(np.logical_not(flag, out=maybe))
+                n = len(keep)
+                np.take(x, keep, out=work[0][:n], mode="clip")
+                np.take(d, keep, out=work[1][:n], mode="clip")
+                np.take(idx[:n_view], keep, out=idx_spare[:n], mode="clip")
+                x_buf, d_buf, work[0], work[1] = work[0], work[1], x_buf, d_buf
+                idx, idx_spare = idx_spare, idx
 
             s = k + 1
             if s in step_of:
-                _record(sums[step_of[s]], d, glued, f_eval, f2_eval, eps, kind,
-                        delta)
+                row = sums[step_of[s]]
+                if glue_kind:
+                    d_out = work[0]       # free until the next step
+                    d_out.fill(0.0)
+                    np.put(d_out, idx[:n], d_buf[:n])
+                    glued.fill(True)
+                    np.put(glued, idx[:n], False)
+                    _record(row, d_out, glued, f_eval, f2_eval, eps, kind,
+                            delta)
+                else:
+                    _record(row, d, glued, f_eval, f2_eval, eps, kind, delta)
     return sums, acc0, f2_0
 
 
@@ -419,8 +476,11 @@ def simulate_coupling(config: CouplingConfig, diffusion, init_sampler,
 
     ranges = _chunk_ranges(config.n_paths, config.chunk_size)
     # a spare worker per chunk draws its noise ahead; at most n_threads
-    # threads (chunk workers plus drawers) run at once
-    draw_ahead = config.n_threads >= 2 * len(ranges)
+    # threads (chunk workers plus drawers) run at once.  A reflected kind
+    # draws inline: how many pairs a step draws for is known only once the
+    # step before it has glued its pairs
+    draw_ahead = (config.kind not in _GLUE_KINDS
+                  and config.n_threads >= 2 * len(ranges))
 
     def work(i):
         lo, hi = ranges[i]

@@ -3,8 +3,11 @@
 ``reference_chunk`` is the plain-expression form of
 ``mfglab.couplings._simulate_chunk``: it allocates every temporary, draws
 each step's noise when it needs it and writes the mollified update as
-nested ``np.where`` calls.  The kernel in the package must give the same
-accumulators bit for bit, for every kind, diffusion and worker count.
+nested ``np.where`` calls.  It keeps every pair in full-length arrays: a
+reflected kind draws each step's noise for its unglued pairs only and
+scatters it to them in path order, and a glued pair's X stays where it
+glued.  The kernel in the package must give the same accumulators bit for
+bit, for every kind, diffusion and worker count.
 """
 
 import math
@@ -19,6 +22,13 @@ def _smoothstep(u):
     """C^1 ramp: 0 below 1/2, 1 above 1, monotone cubic in between."""
     w = np.clip((u - 0.5) / 0.5, 0.0, 1.0)
     return w * w * (3.0 - 2.0 * w)
+
+
+def scatter(values, mask):
+    """values at the positions where mask holds, in order; 0 elsewhere."""
+    out = np.zeros(len(mask))
+    out[mask] = values
+    return out
 
 
 def reference_chunk(config, diffusion, init_sampler, chunk_index, n_chunk,
@@ -82,11 +92,13 @@ def reference_chunk(config, diffusion, init_sampler, chunk_index, n_chunk,
             bxh = bxh + a
         drift_d = bx - bxh
 
-        z1 = rng.standard_normal(n_chunk)
-        z3 = rng.standard_normal(n_chunk)
-        # fixed draw counts per step keep streams aligned across variants
-        # (common random numbers for the delta-extrapolation runs)
-        u_step = rng.random(n_chunk)
+        # a reflected kind draws for its unglued pairs only; the other
+        # kinds draw for every path on every step
+        live = ~glued
+        n_live = int(np.sum(live))
+        z1 = scatter(rng.standard_normal(n_live), live)
+        z3 = scatter(rng.standard_normal(n_live), live)
+        u_step = scatter(rng.random(n_live), live)
         sb_x = diffusion.sigma_bar_scalar(x)
         sb_xh = diffusion.sigma_bar_scalar(xh)
         dsb = sb_x - sb_xh
@@ -100,20 +112,20 @@ def reference_chunk(config, diffusion, init_sampler, chunk_index, n_chunk,
             nd = 2.0 * sigma0 * z1 + dsb * z3
             v_refl = 4.0 * sigma0 ** 2
         elif kind == "interpolated":
-            z2 = rng.standard_normal(n_chunk)
+            z2 = scatter(rng.standard_normal(n_live), live)
             amp = sigma0 / math.sqrt(2.0)
             nx = amp * z1 + amp * z2 + sb_x * z3
             nd = 2.0 * amp * z1 + dsb * z3
             v_refl = 2.0 * sigma0 ** 2
         else:  # approx_delta
-            z2 = rng.standard_normal(n_chunk)
+            z2 = scatter(rng.standard_normal(n_live), live)
             rc = np.where(in_band, 0.0, _smoothstep(r_old / config.delta))
             sc = np.sqrt(np.maximum(1.0 - rc * rc, 0.0))
             nx = sigma0 * rc * z1 + sigma0 * sc * z2 + sb_x * z3
             nd = 2.0 * sigma0 * rc * z1 + dsb * z3
             v_refl = 4.0 * sigma0 ** 2
 
-        x = x + bx * dt + nx * sqdt
+        x = np.where(live, x + bx * dt + nx * sqdt, x)
         if glue_kind:
             d_new = np.where(glued, 0.0, d + drift_d * dt + nd * sqdt)
             r_new = np.abs(d_new)
@@ -146,7 +158,7 @@ def reference_chunk(config, diffusion, init_sampler, chunk_index, n_chunk,
         else:
             d = d + drift_d * dt + nd * sqdt
 
-        if np.max(np.abs(x)) > _OVERFLOW_GUARD:
+        if np.max(np.abs(x[live])) > _OVERFLOW_GUARD:
             raise NumericalError("path overflow: reduce dt or check the drift")
 
         s = k + 1

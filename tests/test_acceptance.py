@@ -398,9 +398,10 @@ def test_criterion_13_appendix_properties(ou_diff):
 @pytest.mark.slow
 def test_criterion_14_determinism(tmp_path):
     # 40,000 paths are 3 coupling chunks (16384, 16384, 7232) and the
-    # moment stage's 20,000 are 2; at 8 threads the chunks run at once and
-    # each draws its noise ahead (8 >= 2 x 3), so a reduction that followed
-    # the order the chunks finish in would show here
+    # moment stage's 20,000 are 2; at 8 threads the chunks run at once (the
+    # reflection run draws its noise inline, as every reflected kind does),
+    # so a reduction that followed the order the chunks finish in would
+    # show here
     from mfglab.cli import main
     raw = json.loads(scenario_path("ou").read_text())
     raw["mc"].update(n_paths=40_000, t_grid=[0.5, 1.0])

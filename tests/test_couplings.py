@@ -4,12 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coupling_reference import reference_chunk
 from mfglab import couplings
-from mfglab.couplings import (KINDS, CouplingConfig, check_drift_gap_bounds,
-                              moment_diagnostic, simulate_coupling,
-                              time_regularity)
+from mfglab.couplings import (_GLUE_KINDS, KINDS, CouplingConfig,
+                              check_drift_gap_bounds, moment_diagnostic,
+                              simulate_coupling, time_regularity)
 from mfglab.errors import ConfigError, NumericalError
 from mfglab.metrics import build_twisted_metric, build_quadratic_metric, \
     q_kernel
@@ -281,8 +283,9 @@ def short_switch_interval():
 
 def test_determinism_across_threads(tm_ou, short_switch_interval):
     # every kind, both diffusion paths, one chunk and three, and 1, 2 and 8
-    # workers (8 draws noise ahead for three chunks, 2 for one): every
-    # estimator equals the reference kernel's bit for bit
+    # workers (the synchronous and mollified kinds draw noise ahead at 8
+    # for three chunks, at 2 for one): every estimator equals the
+    # reference kernel's bit for bit
     fields = ("mean_f", "se_f", "p_neq", "se_p", "mean_r", "bound_f",
               "bound_p", "mean_f0")
     for kind in KINDS:
@@ -307,10 +310,36 @@ def test_determinism_across_threads(tm_ou, short_switch_interval):
                                               getattr(ref, f)), (case, f)
 
 
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(_GLUE_KINDS),
+       n_paths=st.integers(1000, 1050),
+       chunk_size=st.sampled_from([16384, 1024]), varying=st.booleans(),
+       n_threads=st.sampled_from([1, 2]))
+def test_reflected_kinds_match_reference(tm_ou, seed, kind, n_paths,
+                                         chunk_size, varying, n_threads):
+    # the kernel carries only unglued pairs and draws for them alone; the
+    # full-array reference scatters the same draws to the unglued mask.
+    # n_paths crosses the 1024-path chunk boundary
+    extra = ({"control": lambda t, x: 0.5 * np.tanh(x)}
+             if kind == "controlled_reflection" else {})
+    cfg = CouplingConfig(kind=kind, dt=1e-2, n_paths=n_paths,
+                         t_grid=(0.0, 0.3, 0.6, 1.0, 2.0),
+                         beta=lambda t, x: -x, master_seed=seed,
+                         chunk_size=chunk_size, n_threads=n_threads, **extra)
+    diff = VARYING if varying else DIFF
+    got = simulate_coupling(cfg, diff, spread_pair, tm=tm_ou)
+    ref = reference_stats(cfg, diff, spread_pair, tm_ou)
+    for f in ("mean_f", "se_f", "p_neq", "se_p", "mean_r", "mean_f0"):
+        assert np.array_equal(getattr(got, f), getattr(ref, f)), f
+    # gluing absorbs: the unglued fraction never rises
+    assert np.all(np.diff(got.p_neq) <= 0.0)
+
+
 def test_draw_ahead_leaves_no_thread(tm_ou):
-    # one chunk at 2 workers draws noise ahead; both early exits (every
-    # pair glued long before the last output time, and the overflow guard)
-    # wait for the fill in flight and stop the drawing thread
+    # both early exits leave no thread: every reflected pair glued long
+    # before the last output time, and the overflow guard, of a reflection
+    # run (which draws inline) and of a mollified run (whose one chunk at 2
+    # workers draws noise ahead: the exit waits for the fill in flight and
+    # stops the drawer)
     before = threading.active_count()
     cfg = CouplingConfig(kind="reflection", dt=1e-2, n_paths=200,
                          t_grid=(1.0, 50.0), beta=lambda t, x: -x,
@@ -321,11 +350,13 @@ def test_draw_ahead_leaves_no_thread(tm_ou):
     one = simulate_coupling(replace(cfg, n_threads=1), DIFF,
                             pair_at_distance(1.0), tm=tm_ou)
     assert np.array_equal(stats.mean_f, one.mean_f)
-    blow_up = replace(cfg, dt=1e-3, t_grid=(1.0,),
-                      beta=lambda t, x: 50.0 * x)
-    with pytest.raises(NumericalError, match="overflow"):
-        simulate_coupling(blow_up, DIFF, pair_at_distance(1.0))
-    assert threading.active_count() == before
+    for kind in ("reflection", "approx_delta"):
+        blow_up = replace(cfg, kind=kind, dt=1e-3, t_grid=(1.0,),
+                          beta=lambda t, x: 50.0 * x,
+                          beta_hat=lambda t, x: 50.0 * x)
+        with pytest.raises(NumericalError, match="overflow"):
+            simulate_coupling(blow_up, DIFF, pair_at_distance(1.0))
+        assert threading.active_count() == before
 
 
 def test_config_validation():

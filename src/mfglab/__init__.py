@@ -3,10 +3,13 @@ turnpike verification at desk scale (1D PDEs, couplings and profiles; the
 reduced diffusion factor also in d dimensions).
 
 ``import mfglab`` loads the numpy layer only: profiles, twisted metrics,
-scenarios, W1/TV distances and couplings.  The PDE layer and exact W_f
-(``control``, ``mfg``, ``transport``) bring scipy's LAPACK, ``splu`` and
-assignment solver, so their names, and the modules themselves, load on
-first access (``mfglab.solve_mfg``, ``from mfglab import solve_mfg``).
+scenarios (each running cost gives its policy in closed form), W1/TV
+distances and couplings.  The PDE layer and exact W_f (``control``,
+``mfg``, ``transport``) bring scipy's LAPACK, ``splu`` and assignment
+solver, so their names, and the modules themselves, load on first access
+(``mfglab.solve_mfg``, ``from mfglab import solve_mfg``).  The namespace
+below is the whole public surface: each name in it is defined once, in the
+module listed with it.
 """
 
 import importlib
@@ -15,8 +18,7 @@ __version__ = "0.1.0"
 
 from .errors import MfglabError
 from .profiles import (MonotonicityProfile, KReport, make_profile,
-                       certify_class_K, constant_profile, double_well_profile,
-                       shift_profile)
+                       constant_profile, double_well_profile, shift_profile)
 from .metrics import (TwistedMetric, QuadraticTwistedMetric,
                       build_twisted_metric, build_quadratic_metric,
                       check_differential_inequality, q_kernel, q_integral,
@@ -28,13 +30,11 @@ from .model import (Scenario, Grid1D, MCConfig, GaussianLaw, DiffusionSpec,
                     constant_diffusion, varying_diffusion, linear_drift,
                     double_well_drift, quadratic_cost, mean_interaction,
                     conv_tanh_interaction, no_interaction, zero_terminal,
-                    quadratic_terminal, sigma_bar, policy, hamiltonian,
-                    policy_gap_bound, check_smallness, probe_assumptions,
-                    load_scenario)
+                    quadratic_terminal, sigma_bar, policy, policy_gap_bound,
+                    check_smallness, probe_assumptions, load_scenario)
 from .distances import w1_grid, w1_samples, tv_grid, f_norm, lip_norm
 from .couplings import (CouplingConfig, CouplingStats, simulate_coupling,
-                        check_drift_gap_bounds, moment_diagnostic,
-                        time_regularity)
+                        check_drift_gap_bounds, moment_diagnostic)
 
 # names of the modules that import scipy, loaded on first access
 _LAZY = {

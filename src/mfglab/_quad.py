@@ -19,6 +19,7 @@ from .errors import NumericalError
 
 # absolute tolerance of the metric, profile and kernel-integral quadratures
 QUAD_TOL = 1e-10
+_BISECT_MAX_ITER = 200   # bisection steps, more than any caller's tol needs
 
 
 def adaptive_simpson(fn, a, b, tol=QUAD_TOL, max_depth=48, rel=0.0):
@@ -97,14 +98,14 @@ def adaptive_simpson(fn, a, b, tol=QUAD_TOL, max_depth=48, rel=0.0):
 _HALVES = np.array([[0, 6, 1, 3, 8, 4], [1, 7, 2, 4, 9, 5]])
 
 
-def bisect_root(fn, lo, hi, tol=1e-12, max_iter=200):
+def bisect_root(fn, lo, hi, tol=1e-12):
     """Root of a (weakly) increasing function fn with fn(lo) <= 0 <= fn(hi)."""
     flo, fhi = fn(lo), fn(hi)
     if flo > 0.0:
         return lo
     if fhi < 0.0:
         raise NumericalError(f"no sign change on [{lo:g}, {hi:g}]")
-    for _ in range(max_iter):
+    for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if fn(mid) >= 0.0:
             hi = mid

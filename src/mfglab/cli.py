@@ -205,8 +205,7 @@ def cmd_coupling(sc, run, args):
 def cmd_control(sc, run, args):
     from .mfg import frozen_solve
     xs = sc.grid.xs
-    g = sc.terminal_cost.G(GaussianLaw(0.0, 1.0), xs) \
-        if sc.terminal_cost.tag != "zero" else np.zeros_like(xs)
+    g = sc.terminal_cost.G(GaussianLaw(0.0, 1.0), xs)
     value, flow = frozen_solve(sc, None, g)
     rep = check_smallness(sc)
     led = lipschitz_ledger(value, sc, rep.tm_b)
@@ -239,12 +238,18 @@ def cmd_control(sc, run, args):
     run.plot_script(["plot 'flow.csv' using 2:3 with lines title 'density'"])
 
 
+def _record_ergodic_fnorm(run, sol):
+    run.record("ergodic_fnorm", sol.fnorm_ok, measured=sol.fnorm_phi,
+               bound=sol.fnorm_bound)
+
+
 def cmd_ergodic(sc, run, args):
     rep = check_smallness(sc)
     if sc.interaction.kind == "none":
         sol = frozen_ergodic(sc, None)
     else:
         sol = solve_ergodic_mfg(sc, force=args.force, smallness=rep)
+        _record_ergodic_fnorm(run, sol)
     with open(run.file("ergodic.json"), "w") as fh:
         json.dump(sol.as_dict(), fh, indent=1, sort_keys=True)
     run.record("ergodic_flatness", sol.flatness_residual < 1e-6,
@@ -282,6 +287,7 @@ def cmd_turnpike(sc, run, args):
             f"strength margin {rep.margin:.3g} < 1 leaves no certified rate; "
             f"rerun with --force to iterate anyway")
     sol = solve_ergodic_mfg(sc, force=args.force, smallness=rep)
+    _record_ergodic_fnorm(run, sol)
     # the run records no Picard trace, so it measures no contraction factor
     flow, value, _, _ = solve_mfg(sc, force=args.force, smallness=rep,
                                   tol=args.tol, track_contraction=False)

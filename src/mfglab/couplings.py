@@ -22,7 +22,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .distances import w1_samples
 from .errors import ConfigError, NumericalError
 from .metrics import gap_envelope, girsanov_tv, q_kernel
 
@@ -34,7 +33,6 @@ _CHUNK_SIZE = 16384       # paths per chunk, each with its own RNG stream
 _OVERFLOW_GUARD = 1e7     # |x| beyond which a path run aborts
 _DRAW_BLOCK = 1 << 17     # draws per block of noise drawn ahead (1 MB)
 _MOMENT_TIMES = 41        # output times of the moment diagnostic
-_HOLDER_LAGS = (1, 2, 4, 8)  # index lags of the time-regularity pairs
 
 
 @dataclass(frozen=True)
@@ -630,26 +628,3 @@ def moment_diagnostic(beta, diffusion, init_sampler, p, T, dt=1e-3,
             "growth": float(d_mean), "growth_se": float(d_se),
             "trend_tstat": float(tstat),
             "passes": bool(tstat <= 1.645)}
-
-
-# ---------------------------------------------------------------------------
-# time-regularity diagnostics
-
-def time_regularity(times, marginals):
-    """Empirical Hoelder-1/2 constant of t -> mu_t in W1.
-
-    marginals are particle clouds, one per time; pairs of times are
-    compared at the index lags _HOLDER_LAGS.
-    """
-    times = np.asarray(times, dtype=float)
-    if len(times) < 2:
-        raise ConfigError("time regularity needs at least two time points")
-    w1_best = 0.0
-    for lag in _HOLDER_LAGS:
-        for i in range(len(times) - lag):
-            gap = times[i + lag] - times[i]
-            if gap <= 0:
-                continue
-            d = w1_samples(marginals[i], marginals[i + lag])
-            w1_best = max(w1_best, d / np.sqrt(gap))
-    return {"w1_holder": w1_best}

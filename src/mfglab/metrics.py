@@ -46,6 +46,7 @@ from .profiles import MonotonicityProfile
 
 _LOG_DEGENERATE = -600.0  # below this log(phi) the rate constants underflow
 _TABLE_NODES = 1200       # coarse radius nodes of a metric table
+_INVARIANT_TOL = 1e-7     # slack of the table invariants _check_invariants
 
 
 @dataclass(frozen=True)
@@ -116,9 +117,6 @@ class TwistedMetric:
         out = phip * gval + phi * gp
         out = np.where(r_arr > self.R1, 0.0, out)
         return float(out[0]) if scalar else out
-
-    def q(self, t):
-        return q_kernel(self.C, self.lam, self.sigma_check, t)
 
 
 def _table_nodes(profile, R0, R1):
@@ -220,7 +218,8 @@ def degenerate_metric(profile: MonotonicityProfile,
                          quad_tol=QUAD_TOL, degenerate=True)
 
 
-def _check_invariants(tm: TwistedMetric, tol=1e-7):
+def _check_invariants(tm: TwistedMetric):
+    tol = _INVARIANT_TOL
     r = tm.r_table[1:]
     f, fp = tm.f_table[1:], tm.fprime_table[1:]
     if np.any(f > r * (1.0 + tol) + tol) or np.any(f < tm.C * r * (1.0 - tol) - tol):

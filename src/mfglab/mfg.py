@@ -52,9 +52,12 @@ class ErgodicSolution:
     flatness_residual: float
     iterations: int
     contraction_factors: list
-    fnorm_phi: float = 0.0
     outer_trace: list = field(default_factory=list)
-    fnorm_ok: Optional[bool] = None     # set by solve_ergodic_mfg
+    # set by solve_ergodic_mfg: the twisted seminorm of phi_inf, its
+    # certified bound and the verdict; None after frozen_ergodic
+    fnorm_phi: Optional[float] = None
+    fnorm_bound: Optional[float] = None
+    fnorm_ok: Optional[bool] = None
 
     def as_dict(self):
         return {"eta": self.eta, "flatness_residual": self.flatness_residual,
@@ -206,8 +209,7 @@ def _certify_ergodic(scenario: Scenario, g, src_vals, tol, iterations,
                            phi_inf=g, grad_inf=grad,
                            mu_inf=invariant_density(scenario, grad),
                            flatness_residual=flatness, iterations=iterations,
-                           contraction_factors=factors,
-                           fnorm_phi=lip_norm(xs, g))
+                           contraction_factors=factors)
 
 
 def frozen_ergodic(scenario: Scenario, mu_frozen=None, tol=1e-9,
@@ -352,8 +354,8 @@ def solve_ergodic_mfg(scenario: Scenario, tol=1e-7, force=False,
     sol = _certify_ergodic(scenario, g, src_vals, inner_tol, steps, [])
     sol.outer_trace = trace
     sol.fnorm_phi = f_norm(xs, sol.phi_inf, smallness.tm_b.f)
-    cap = (4.0 if low else 1.0) * smallness.C_x_psi
-    sol.fnorm_ok = bool(sol.fnorm_phi <= cap * (1.0 + 1e-6))
+    sol.fnorm_bound = (4.0 if low else 1.0) * smallness.C_x_psi
+    sol.fnorm_ok = bool(within_bound(sol.fnorm_phi, sol.fnorm_bound))
     return sol
 
 

@@ -152,13 +152,12 @@ def double_well_drift(r_max=50.0, box=5.0):
 class RunningCostSpec:
     L: Callable                     # (x, u) -> cost
     dLu: Callable                   # (x, u) -> control gradient
-    d2Luu: Callable                 # (x, u) -> control curvature
     rho_uu: float
+    closed_form: Callable           # (x, p) -> argmin_u L(x, u) + u p
     C_u_L0: float = 0.0
     C_x_L: Optional[float] = None
     C_L_osc: Optional[float] = None
     C_xu_L: Optional[float] = None
-    closed_form: Optional[Callable] = None  # p, x -> argmin when available
 
 
 def quadratic_cost(rho_uu=1.0, q=0.0, lin_u=0.0, C_x_L=None, C_L_osc=None):
@@ -177,35 +176,19 @@ def quadratic_cost(rho_uu=1.0, q=0.0, lin_u=0.0, C_x_L=None, C_L_osc=None):
         return cost
 
     return RunningCostSpec(
-        L=L, dLu=lambda x, u: rho * u + lin_u,
-        d2Luu=lambda x, u: rho * np.ones_like(np.asarray(u, dtype=float)),
-        rho_uu=rho, C_u_L0=abs(lin_u), C_x_L=C_x_L, C_L_osc=C_L_osc,
-        C_xu_L=0.0, closed_form=lambda x, p: -(p + lin_u) / rho)
+        L=L, dLu=lambda x, u: rho * u + lin_u, rho_uu=rho,
+        closed_form=lambda x, p: -(p + lin_u) / rho, C_u_L0=abs(lin_u),
+        C_x_L=C_x_L, C_L_osc=C_L_osc, C_xu_L=0.0)
 
 
-def policy(cost: RunningCostSpec, x, p, tol=1e-10, max_iter=50):
-    """Unique minimizer of u -> L(x, u) + u . p (Newton, warm started)."""
+def policy(cost: RunningCostSpec, x, p):
+    """Unique minimizer of u -> L(x, u) + u . p, by the cost's closed form.
+
+    The solvers' Hamiltonian is L(x, w) + (b(x) + w) . p at this w (see
+    control.value_stencil)."""
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    if cost.closed_form is not None:
-        return np.asarray(cost.closed_form(x, p), dtype=float)
-    u = -p / cost.rho_uu
-    for _ in range(max_iter):
-        grad = cost.dLu(x, u) + p
-        hess = cost.d2Luu(x, u)
-        if np.any(hess < 0.5 * cost.rho_uu):
-            raise NumericalError("control curvature fell below rho_uu / 2")
-        step = grad / hess
-        u = u - step
-        if np.max(np.abs(step)) < tol:
-            return u
-    raise NumericalError("policy Newton did not converge in 50 iterations")
-
-
-def hamiltonian(drift: DriftSpec, cost: RunningCostSpec, x, p, extra=0.0):
-    """h(x, p) = min_u L(x, u) + (b(x) + u) . p (+ frozen interaction)."""
-    w = policy(cost, x, p)
-    return cost.L(x, w) + (drift.b(np.asarray(x, dtype=float)) + w) * p + extra
+    return np.asarray(cost.closed_form(x, p), dtype=float)
 
 
 def policy_gap_bound(cost: RunningCostSpec, cost_hat: RunningCostSpec,
@@ -276,19 +259,17 @@ class TerminalCostSpec:
     C_x_G: Optional[float] = None
     C_G: Optional[float] = None
     C_xx_G: Optional[float] = None
-    tag: str = "custom"
 
 
 def zero_terminal():
     return TerminalCostSpec(G=lambda mu, x: np.zeros_like(np.asarray(x, dtype=float)),
-                            C_G=0.0, C_x_G=0.0, C_xx_G=0.0, tag="zero")
+                            C_G=0.0, C_x_G=0.0, C_xx_G=0.0)
 
 
 def quadratic_terminal(gx, box=5.0):
     gx = float(gx)
     return TerminalCostSpec(G=lambda mu, x: 0.5 * gx * np.asarray(x, dtype=float) ** 2,
-                            C_x_G=abs(gx) * box, C_xx_G=abs(gx),
-                            tag="quadratic")
+                            C_x_G=abs(gx) * box, C_xx_G=abs(gx))
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +331,9 @@ class MCConfig:
     t_grid: tuple = (1.0, 2.0, 4.0)
 
     def __post_init__(self):
+        # a JSON list is stored as a tuple: a loaded config then equals
+        # (and hashes as) the one built with the same times
+        object.__setattr__(self, "t_grid", tuple(self.t_grid))
         if self.n_paths < 1:
             raise ConfigError(f"mc needs n_paths >= 1, got {self.n_paths}")
         if not self.dt > 0.0:
@@ -789,11 +773,10 @@ def _scenario_from_raw(raw) -> Scenario:
         raise ConfigError("scenario files support quadratic running costs only")
     x_lim = max(abs(raw["grid"]["x_min"]), abs(raw["grid"]["x_max"]))
     q = rc.get("q", 0.0)
-    cost = quadratic_cost(rho_uu=rc.get("rho_uu", 1.0), q=q,
-                          lin_u=rc.get("lin_u", 0.0),
-                          C_x_L=rc.get("C_x_L", q * x_lim),
-                          C_L_osc=rc.get("C_L_osc",
-                                         0.0 if q == 0.0 else None))
+    # a key the file omits takes quadratic_cost's default
+    cost = quadratic_cost(q=q, C_x_L=rc.get("C_x_L", q * x_lim),
+                          C_L_osc=rc.get("C_L_osc", 0.0 if q == 0.0 else None),
+                          **{k: rc[k] for k in ("rho_uu", "lin_u") if k in rc})
 
     it = raw.get("interaction", {"kind": "none"})
     if it["kind"] == "none":
@@ -824,11 +807,8 @@ def _scenario_from_raw(raw) -> Scenario:
 
     g = raw["grid"]
     grid = Grid1D(g["x_min"], g["x_max"], g["n_x"], g["dt"])
-    mc_raw = raw.get("mc", {})
-    mc = MCConfig(n_paths=mc_raw.get("n_paths", 20_000),
-                  dt=mc_raw.get("dt", 1e-3),
-                  master_seed=mc_raw.get("master_seed", 20240901),
-                  t_grid=tuple(mc_raw.get("t_grid", (1.0, 2.0, 4.0))))
+    # a key the file omits takes MCConfig's default
+    mc = MCConfig(**raw.get("mc", {}))
     return Scenario(name=raw["name"], drift=drift, diffusion=diffusion,
                     running_cost=cost, interaction=inter, terminal_cost=term,
                     mu0=GaussianLaw(raw["mu0"]["mean"], raw["mu0"]["var"]),

@@ -27,9 +27,6 @@ class KReport:
     floor: float             # min of kappa on the tail window [r_max/4, r_max]
     is_K: bool
 
-    def as_dict(self):
-        return {"integral": self.integral, "floor": self.floor, "is_K": self.is_K}
-
 
 @dataclass(frozen=True)
 class MonotonicityProfile:
@@ -111,11 +108,6 @@ def make_profile(fn, r_min=1e-6, r_max=50.0, name="profile"):
     return MonotonicityProfile(fn=fn, r_min=r_min, r_max=r_max,
                                asymptotic_floor=report.floor, name=name,
                                certification=report)
-
-
-def certify_class_K(profile: MonotonicityProfile) -> KReport:
-    """Re-run the class-K certification of an existing profile."""
-    return _certify(profile.fn, profile.r_min, profile.r_max)
 
 
 # ---------------------------------------------------------------------------

@@ -224,10 +224,8 @@ def test_criterion_08_stability(tm_ou):
     from mfglab.model import RunningCostSpec, policy_gap_bound
     pert_cost = RunningCostSpec(
         L=lambda x, u: 0.5 * u ** 2 + eps * u * np.tanh(x),
-        dLu=lambda x, u: u + eps * np.tanh(x),
-        d2Luu=lambda x, u: np.ones_like(np.asarray(u, dtype=float)),
-        rho_uu=1.0, C_u_L0=eps,
-        closed_form=lambda x, p: -(p + eps * np.tanh(x)))
+        dLu=lambda x, u: u + eps * np.tanh(x), rho_uu=1.0,
+        closed_form=lambda x, p: -(p + eps * np.tanh(x)), C_u_L0=eps)
     rng = np.random.default_rng(8)
     gap = policy_gap_bound(cost, pert_cost, rng.uniform(-4, 4, 1000),
                            rng.uniform(-5, 5, 1000), C_u_delta_l=eps)

@@ -84,10 +84,32 @@ def test_turnpike_repeat_determinism(quick_mean_scenario, tmp_path):
     assert csv_a == csv_b
     summary = json.loads((tmp_path / "a" / "lq_mean-turnpike"
                           / "summary.json").read_text())
-    moment = summary["assertions"]["turnpike_moment"]
-    assert moment["pass"]
-    assert isinstance(moment["measured"], float)
-    assert isinstance(moment["bound"], float)
+    for name in ("turnpike_moment", "ergodic_fnorm"):
+        verdict = summary["assertions"][name]
+        assert verdict["pass"], name
+        assert isinstance(verdict["measured"], float), name
+        assert isinstance(verdict["bound"], float), name
+
+
+def test_ergodic_judges_the_seminorm_only_with_an_interaction(
+        quick_mean_scenario, tmp_path):
+    """With an interaction, ergodic.json carries the twisted seminorm that
+    the ergodic_fnorm assertion judges; without one it carries null."""
+    assert main(["ergodic", "--scenario", str(quick_mean_scenario),
+                 "--out", str(tmp_path)]) == 0
+    run = tmp_path / "lq_mean-ergodic"
+    verdict = json.loads((run / "summary.json").read_text())[
+        "assertions"]["ergodic_fnorm"]
+    assert verdict["pass"]
+    assert isinstance(verdict["bound"], float)
+    sol = json.loads((run / "ergodic.json").read_text())
+    assert sol["fnorm_phi"] == verdict["measured"] <= verdict["bound"]
+
+    assert main(["ergodic", "--scenario", "ou", "--out", str(tmp_path)]) == 0
+    run = tmp_path / "ou-ergodic"
+    summary = json.loads((run / "summary.json").read_text())
+    assert "ergodic_fnorm" not in summary["assertions"]
+    assert json.loads((run / "ergodic.json").read_text())["fnorm_phi"] is None
 
 
 def test_double_well_turnpike_repeat_determinism(tmp_path):

@@ -11,7 +11,7 @@ from coupling_reference import reference_chunk
 from mfglab import couplings
 from mfglab.couplings import (_GLUE_KINDS, KINDS, CouplingConfig,
                               check_drift_gap_bounds, moment_diagnostic,
-                              simulate_coupling, time_regularity)
+                              simulate_coupling)
 from mfglab.errors import ConfigError, NumericalError
 from mfglab.metrics import build_twisted_metric, build_quadratic_metric, \
     q_kernel
@@ -239,21 +239,6 @@ def test_moment_diagnostic_across_threads(short_switch_interval):
         assert out.keys() == runs[0].keys()
         for key, value in runs[0].items():
             np.testing.assert_array_equal(out[key], value)
-
-
-def test_time_regularity_diagnostics():
-    rng = np.random.default_rng(0)
-    stationary = [rng.standard_normal(5000)] * 6
-    out = time_regularity(np.linspace(0, 1, 6), stationary)
-    assert out["w1_holder"] == 0.0
-    # relaxing flow has a finite square-root Hoelder constant
-    times = np.linspace(0.0, 2.0, 21)
-    marginals = [np.sqrt(1 - np.exp(-2 * max(t, 1e-12)))
-                 * rng.standard_normal(4000) for t in times]
-    out2 = time_regularity(times, marginals)
-    assert 0.0 < out2["w1_holder"] < 3.0
-    with pytest.raises(ConfigError, match="at least two time points"):
-        time_regularity(np.array([0.0]), [np.zeros(5)])
 
 
 VARYING = varying_diffusion(lambda x: 1.5 + 0.2 * np.tanh(x), 1.0, 1.2, 0.2)

@@ -297,7 +297,7 @@ def test_degenerate_collapse():
     tm = build_twisted_metric(prof, 1.0)
     assert tm.degenerate
     assert tm.lam == 0.0 and tm.C == 0.0
-    assert tm.q(1.0) == np.inf
+    assert q_kernel(tm.C, tm.lam, tm.sigma_check, 1.0) == np.inf
 
 
 def test_serialization_roundtrip(tmp_path, tm_const2):

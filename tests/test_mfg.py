@@ -75,7 +75,8 @@ def test_frozen_ergodic_trivial_zero():
     sol = frozen_ergodic(sc, None, tol=1e-10)
     assert abs(sol.eta) < 1e-9
     assert np.max(np.abs(sol.phi_inf)) < 1e-9
-    assert sol.fnorm_ok is None     # only solve_ergodic_mfg judges the cap
+    # only solve_ergodic_mfg measures and judges the seminorm
+    assert sol.fnorm_phi is None and sol.fnorm_ok is None
 
 
 def _newton_and_map(sc, mu_frozen):
@@ -264,7 +265,8 @@ def test_solve_ergodic_lq_mean(lq_mean_quick):
     factors = [e["factor"] for e in sol.outer_trace if "factor" in e]
     assert factors, sol.outer_trace
     assert max(factors) <= rep.outer_factor * 1.2
-    assert sol.fnorm_ok
+    assert sol.fnorm_ok and sol.fnorm_bound == rep.C_x_psi
+    assert 0.0 <= sol.fnorm_phi <= sol.fnorm_bound
 
 
 def test_ergodic_refuses_without_force():
@@ -418,6 +420,7 @@ def test_low_regime_ergodic_and_constants():
     sol = solve_ergodic_mfg(sc, tol=1e-8, inner_tol=1e-9, smallness=rep,
                             mu_init=GaussianLaw(1.0, 0.4).density(sc.grid.xs))
     assert sol.fnorm_ok          # seminorm within 4x the steady budget
+    assert sol.fnorm_bound == 4.0 * rep.C_x_psi
     xs = sol.xs
     assert np.trapezoid(xs ** 2 * sol.mu_inf, xs) == pytest.approx(1.0,
                                                                    abs=5e-3)

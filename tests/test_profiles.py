@@ -4,15 +4,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mfglab.errors import ConfigError
-from mfglab.profiles import (make_profile, certify_class_K, constant_profile,
+from mfglab.profiles import (make_profile, constant_profile,
                              double_well_profile, shift_profile)
 
 from profile_reference import scanned_profile
 
 
 def test_certify_constant_profile_trivial():
-    prof = constant_profile(1.0)
-    rep = certify_class_K(prof)
+    rep = constant_profile(1.0).certification
     assert rep.integral == 0.0
     assert rep.floor == pytest.approx(1.0)
     assert rep.is_K

@@ -23,7 +23,7 @@ from .metrics import (TwistedMetric, QuadraticTwistedMetric,
                       build_twisted_metric, build_quadratic_metric,
                       check_differential_inequality, q_kernel, q_integral,
                       q_weighted_integral, gap_envelope, girsanov_tv,
-                      lemma_kernel_integrals, save_metric, load_metric)
+                      lemma_kernel_integrals, save_metric)
 from .model import (Scenario, Grid1D, MCConfig, GaussianLaw, DiffusionSpec,
                     DriftSpec, RunningCostSpec, InteractionSpec,
                     TerminalCostSpec, GridDensity, ParticleCloud,

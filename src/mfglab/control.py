@@ -576,24 +576,22 @@ def lipschitz_ledger(value: ValueFunction, scenario: Scenario,
 
 def hessian_ledger(value: ValueFunction, scenario: Scenario,
                    tm_b: TwistedMetric) -> BoundLedger:
-    """Second-derivative bounds along the solve (constant diffusion only)."""
+    """Second-derivative bounds along the solve.
+
+    The bound needs a constant diffusion and declared C_x_b and C_xx_G;
+    a scenario without them is rejected with a ConfigError.
+    """
     cost, inter, term, drift = (scenario.running_cost, scenario.interaction,
                                 scenario.terminal_cost, scenario.drift)
+    if not scenario.diffusion.is_constant:
+        raise ConfigError("hessian ledger needs a constant diffusion")
+    if drift.C_x_b is None or term.C_xx_G is None:
+        raise ConfigError("hessian ledger needs declared C_x_b and C_xx_G")
     T = float(value.times[-1])
     times, idx = _ledger_times(value)
     interior = slice(2, -2)
     measured = np.array([float(np.max(np.abs(value.hess(i)[interior])))
                          for i in idx])
-
-    if not scenario.diffusion.is_constant:
-        theo = np.full_like(measured, np.inf)
-        led = BoundLedger(kind="value_hessian", times=times,
-                          measured=measured, theoretical=theo,
-                          window=np.zeros_like(times, dtype=bool))
-        led.extras["note"] = "empirical only: non-constant diffusion"
-        return led
-    if drift.C_x_b is None or term.C_xx_G is None:
-        raise NumericalError("hessian ledger needs declared C_x_b and C_xx_G")
 
     C_x_ell = (cost.C_x_L or 0.0) + inter.C_x_F
     g_vals = value.phi[-1]

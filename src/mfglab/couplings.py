@@ -126,23 +126,17 @@ def _fill_step(rng, rows):
 
 
 def _draws(rng, n_rows, n_chunk, n_steps, pool):
-    """Yield each step's draws as rows (z1, z3, u[, z2]), in stream order.
+    """Yield each step's draws as rows (z1, z3, u[, z2]), drawn ahead.
 
     For the kinds with fixed draw counts per step (synchronous and
-    mollified).  Without a pool each step is drawn when it is asked for.
-    With a pool (one worker) the rows are filled a block of steps at a
-    time, by the same calls in the same order, so the stream is unchanged,
-    and the next block is filled while the caller uses the current one; the
-    Generator releases the GIL while it fills an array.  Errors of a fill
-    reach the caller through ``result()``; a fill still in flight when the
-    caller stops early is waited for by the pool's shutdown.
+    mollified) when they draw ahead.  The pool's one worker fills the rows
+    a block of steps at a time, by the calls _fill_step makes inline and in
+    the same order, so the stream is unchanged, and it fills the next block
+    while the caller uses the current one; the Generator releases the GIL
+    while it fills an array.  Errors of a fill reach the caller through
+    ``result()``; a fill still in flight when the caller stops early is
+    waited for by the pool's shutdown.
     """
-    if pool is None:
-        rows = np.empty((n_rows, n_chunk))
-        for _ in range(n_steps):
-            _fill_step(rng, rows)
-            yield rows
-        return
     span = max(1, min(n_steps, _DRAW_BLOCK // (n_rows * n_chunk)))
     bufs = [np.empty((span, n_rows, n_chunk)) for _ in range(2)]
 
@@ -182,9 +176,11 @@ def _simulate_chunk(config, diffusion, init_sampler, chunk_index, n_chunk,
 
     Each step works in preallocated buffers and keeps the evaluation order
     of the plain expressions it implements (noted beside each block), so
-    the estimators do not depend on how the step is laid out.  With
-    draw_ahead (synchronous and mollified kinds only) a one-worker pool
-    draws the next block of noise meanwhile.
+    the estimators do not depend on how the step is laid out.  Every kind
+    draws each step inline with _fill_step into the first n columns of one
+    row buffer, except with draw_ahead (synchronous and mollified kinds
+    only), where _draws has a one-worker pool draw the next block of noise
+    meanwhile; both make the same calls in the same order.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence((config.master_seed, chunk_index)))
@@ -243,8 +239,8 @@ def _simulate_chunk(config, diffusion, init_sampler, chunk_index, n_chunk,
     bits = np.empty((3, n_chunk), dtype=bool)
     has_nd = c2 is not None or sb_const is None     # else nd is 0
     n_rows = 4 if kind in ("interpolated", "approx_delta") else 3  # z2 too
+    rows = np.empty((n_rows, n_chunk))
     if glue_kind:
-        rows = np.empty((n_rows, n_chunk))
         idx, idx_spare = np.arange(n_chunk), np.empty(n_chunk, dtype=np.intp)
     if approx:
         rc, sc, d_band, r_free, sign = np.empty((5, n_chunk))
@@ -253,8 +249,8 @@ def _simulate_chunk(config, diffusion, init_sampler, chunk_index, n_chunk,
     # a fill in flight when the loop stops early is waited for on exit
     with (ThreadPoolExecutor(max_workers=1) if draw_ahead
           else contextlib.nullcontext()) as pool:
-        noise = None if glue_kind else _draws(rng, n_rows, n_chunk, n_steps,
-                                              pool)
+        noise = None if pool is None else _draws(rng, n_rows, n_chunk,
+                                                 n_steps, pool)
 
         for k in range(n_steps):
             if n == 0:
@@ -264,8 +260,7 @@ def _simulate_chunk(config, diffusion, init_sampler, chunk_index, n_chunk,
                 r_old, xh, drift_d, nx, nd, tmp, bxa, bxha, dsb = (
                     None if w is None else w[:n] for w in work)
                 flag, maybe, below = bits[:, :n]
-                if glue_kind:
-                    step = rows[:, :n]
+                step = rows[:, :n]
                 n_view = n
             t = k * dt
             np.abs(d, out=r_old)
@@ -279,7 +274,7 @@ def _simulate_chunk(config, diffusion, init_sampler, chunk_index, n_chunk,
                 bxh = np.add(bxh, a, out=bxha)
             np.subtract(bx, bxh, out=drift_d)
 
-            if glue_kind:
+            if noise is None:
                 _fill_step(rng, step)
             else:
                 step = next(noise)

@@ -3,7 +3,8 @@
 The ``kind`` selects the CLI exit code (``cli.EXIT_CODES``):
 
 - ``ConfigError`` (``config``): a scenario value or argument the program
-  rejects;
+  rejects, or a value a computation needs that the scenario does not
+  declare;
 - ``CertificationError`` (``certification``): a guarantee that does not
   hold, such as a metric invariant or a strength condition;
 - ``NumericalError`` (``numerical``): a solver, bisection or quadrature

@@ -47,11 +47,12 @@ from .profiles import MonotonicityProfile
 _LOG_DEGENERATE = -600.0  # below this log(phi) the rate constants underflow
 _TABLE_NODES = 1200       # coarse radius nodes of a metric table
 _INVARIANT_TOL = 1e-7     # slack of the table invariants _check_invariants
+_RESIDUAL_TOL = 1e-6      # slack of the differential inequality per unit f
 
 
 @dataclass(frozen=True)
 class TwistedMetric:
-    profile: Optional[MonotonicityProfile]
+    profile: MonotonicityProfile
     sigma_check: float
     R0: float
     R1: float
@@ -61,9 +62,9 @@ class TwistedMetric:
     r_table: np.ndarray
     f_table: np.ndarray
     fprime_table: np.ndarray
-    quad_tol: float
     degenerate: bool = False        # see degenerate_metric
-    # cumulative tables backing the analytic second derivative
+    # cumulative tables backing the analytic second derivative (None on a
+    # degenerate metric)
     _I: Optional[Pchip] = None
     _Phi: Optional[Pchip] = None
 
@@ -94,15 +95,15 @@ class TwistedMetric:
         return out if np.ndim(r) else float(out)
 
     def phi(self, r):
-        if self._I is None:
-            raise CertificationError("metric loaded from tables has no analytic pieces")
+        if self.degenerate:
+            raise CertificationError(
+                f"the degenerate metric of profile {self.profile.name!r} "
+                "has no analytic pieces")
         r_arr = np.minimum(np.asarray(r, dtype=float), self.r_table[-1])
         return np.exp(-self._I(r_arr) / (2.0 * self.sigma_check ** 2))
 
     def fsecond(self, r):
         """f'' from the analytic pieces f'' = phi' g + phi g'."""
-        if self._I is None or self._Phi is None:
-            raise CertificationError("metric loaded from tables has no analytic pieces")
         r_arr = np.asarray(r, dtype=float)
         scalar = np.ndim(r) == 0
         r_arr = np.atleast_1d(r_arr)
@@ -196,7 +197,7 @@ def build_twisted_metric(profile: MonotonicityProfile,
     tm = TwistedMetric(profile=profile, sigma_check=sigma_check,
                        R0=R0, R1=R1, Z=Z, lam=lam, C=C,
                        r_table=nodes, f_table=f_nodes, fprime_table=fp_nodes,
-                       quad_tol=QUAD_TOL, _I=I_interp, _Phi=Phi_interp)
+                       _I=I_interp, _Phi=Phi_interp)
     _check_invariants(tm)
     # made here, beside the tables: made at the first f call, inside a
     # solve, they raised the mfg_lq_batch benchmark's peak RSS by 4-5 MB
@@ -214,8 +215,7 @@ def degenerate_metric(profile: MonotonicityProfile,
     return TwistedMetric(profile=profile, sigma_check=float(sigma_check),
                          R0=np.nan, R1=np.nan, Z=np.inf, lam=0.0, C=0.0,
                          r_table=np.array([0.0, profile.r_max]),
-                         f_table=zeros, fprime_table=zeros,
-                         quad_tol=QUAD_TOL, degenerate=True)
+                         f_table=zeros, fprime_table=zeros, degenerate=True)
 
 
 def _check_invariants(tm: TwistedMetric):
@@ -236,14 +236,14 @@ def _check_invariants(tm: TwistedMetric):
 def check_differential_inequality(tm: TwistedMetric, radius_grid):
     """Positive part of 2 s^2 f'' - r kappa f' + lam f on the grid.
 
-    Returns (max_residual, residuals, allowance) where the contract is
-    residuals <= allowance = quad_tol * (1 + lam * f).
+    Returns (max_residual, residuals, allowance); the inequality holds
+    where residuals <= allowance = 1e-6 (1 + lam f), the one residual rule.
     """
     r = np.asarray(radius_grid, dtype=float)
     lhs = (2.0 * tm.sigma_check ** 2 * tm.fsecond(r)
            - r * tm.profile(r) * tm.fprime(r) + tm.lam * tm.f(r))
     residuals = np.maximum(lhs, 0.0)
-    allowance = tm.quad_tol * (1.0 + tm.lam * tm.f(r))
+    allowance = _RESIDUAL_TOL * (1.0 + tm.lam * tm.f(r))
     return float(np.max(residuals)), residuals, allowance
 
 
@@ -484,24 +484,9 @@ def save_metric(tm: TwistedMetric, csv_path, json_path=None):
     json_path = json_path or str(csv_path) + ".json"
     arr = np.column_stack([tm.r_table, tm.f_table, tm.fprime_table])
     header = {"R0": tm.R0, "R1": tm.R1, "Z": tm.Z, "lambda": tm.lam,
-              "C": tm.C, "sigma_check": tm.sigma_check, "quad_tol": tm.quad_tol}
+              "C": tm.C, "sigma_check": tm.sigma_check, "quad_tol": QUAD_TOL}
     np.savetxt(csv_path, arr, delimiter=",", header="r,f,fprime", comments="")
     with open(json_path, "w") as fh:
         json.dump(header, fh, indent=1, sort_keys=True)
     return csv_path, json_path
 
-
-def load_metric(csv_path, json_path=None) -> TwistedMetric:
-    json_path = json_path or str(csv_path) + ".json"
-    arr = np.loadtxt(csv_path, delimiter=",", skiprows=1)
-    with open(json_path) as fh:
-        header = json.load(fh)
-    tm = TwistedMetric(profile=None, sigma_check=header["sigma_check"],
-                       R0=header["R0"], R1=header["R1"], Z=header["Z"],
-                       lam=header["lambda"], C=header["C"],
-                       r_table=arr[:, 0], f_table=arr[:, 1],
-                       fprime_table=arr[:, 2], quad_tol=header["quad_tol"])
-    # a table read from disk is checked at load: making the interpolants
-    # raises ValueError on unsorted, duplicate or non-finite radii
-    tm._fi, tm._fpi
-    return tm

@@ -537,10 +537,7 @@ def turnpike_report(scenario: Scenario, flow: MeasureFlow,
     d_flow = distance(xs, densities,
                       np.broadcast_to(ergodic.mu_inf, densities.shape),
                       check=False)
-    d_value = np.empty(len(idx))
-    for j, t in enumerate(times):
-        gap_grad = value.grad[value.slice_at(t)] - ergodic.grad_inf
-        d_value[j] = float(np.max(np.abs(gap_grad)))
+    d_value = np.max(np.abs(value.grad_at(times) - ergodic.grad_inf), axis=1)
 
     W0 = wf_grid(xs, flow.densities[0], ergodic.mu_inf, tm_bar.f,
                  n_atoms=128, check=False)

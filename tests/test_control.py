@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from mfglab.errors import CertificationError, ConfigError, NumericalError
 from mfglab.metrics import build_twisted_metric
 from mfglab.model import (GaussianLaw, Grid1D, Scenario, constant_diffusion,
                           linear_drift, load_scenario, no_interaction,
-                          quadratic_cost, quadratic_terminal, zero_terminal)
+                          quadratic_cost, quadratic_terminal,
+                          varying_diffusion, zero_terminal)
 
 
 def riccati_rk4(beta, q, gx, T, dt=1e-5, sigma_sq=2.0):
@@ -235,6 +238,18 @@ def test_hessian_ledger_propagates_certification_failure(tm_b_unit,
     monkeypatch.setattr(model, "_build_extending", fail)
     with pytest.raises(CertificationError, match="hessbar"):
         hessian_ledger(vf, sc, tm_b_unit)
+
+
+def test_hessian_ledger_rejects_what_it_cannot_bound(lq, lq_value, tm_b_unit):
+    # the bound holds for a constant diffusion and declared C_x_b, C_xx_G
+    varying = replace(lq, diffusion=varying_diffusion(
+        lambda x: 1.5 + 0.2 * np.tanh(x), 1.0, 1.2, 0.2))
+    with pytest.raises(ConfigError, match="constant diffusion"):
+        hessian_ledger(lq_value, varying, tm_b_unit)
+    undeclared = replace(lq, terminal_cost=replace(lq.terminal_cost,
+                                                   C_xx_G=None))
+    with pytest.raises(ConfigError, match="C_xx_G"):
+        hessian_ledger(lq_value, undeclared, tm_b_unit)
 
 
 def test_hessian_ledger_lq_vacuous_window(lq, lq_value, tm_b_unit):

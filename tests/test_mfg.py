@@ -301,6 +301,10 @@ def test_turnpike_flow_bound_holds_at_start():
     assert report.bound_flow[0] >= tc.C_i * report.W0 / rep.tm_bar.C
     assert report.bound_flow[0] >= report.d_flow[0]
     assert report.verdicts["flow_bound"]
+    # d_value reads the stored gradient slice at each report time
+    ref = [np.max(np.abs(value.grad[value.slice_at(t)] - sol.grad_inf))
+           for t in report.times]
+    assert np.array_equal(report.d_value, ref)
 
 
 def test_turnpike_constants_levels(lq_mean_quick):

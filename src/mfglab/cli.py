@@ -298,8 +298,9 @@ def cmd_turnpike(sc, run, args):
     v = report.verdicts
     run.record("turnpike_flow_bound", v["flow_bound"])
     run.record("turnpike_value_bound", v["value_bound"])
-    run.record("turnpike_plateau", v["plateau_ratio"] <= 0.05,
-               ratio=v["plateau_ratio"])
+    ratio = v["plateau_ratio"]
+    run.record("turnpike_plateau", ratio is None or ratio <= 0.05,
+               ratio=ratio if ratio is not None else "none")
     run.record("turnpike_rates", v["rates_ok"],
                lam_in=(v["lam_in"] if v["lam_in"] is not None else "none"),
                lam_out=(v["lam_out"] if v["lam_out"] is not None else "none"),

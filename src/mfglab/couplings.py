@@ -11,7 +11,12 @@ early, so measured contraction is only weakened).  A glued pair moves as one
 path from then on, so the reflected kinds draw noise and compute only for
 their unglued pairs: each step of their stream holds the draws of the pairs
 still apart.  The synchronous and mollified kinds draw for every path on
-every step.
+every step, so their draw counts per step are fixed.
+
+A step draws, in stream order, the rows z1, z3 and u, then z2 for the
+interpolated kind and for the mollified kind under a varying sigma_bar.
+Under a constant sigma_bar the mollified kind's z2 and z3 terms move X and
+X_hat alike, so it draws their sum as the one normal z3 and has no z2 row.
 """
 
 import contextlib
@@ -114,7 +119,11 @@ def _sum_chunks(results):
 
 
 def _fill_step(rng, rows):
-    """One step's draws, in stream order: z1, z3, u, then z2 if asked."""
+    """One step's draws, in stream order: z1, z3, u, then z2 if asked.
+
+    rows has four rows for the interpolated kind and for the mollified kind
+    under a varying sigma_bar, three for every other run.
+    """
     rng.standard_normal(out=rows[0])
     rng.standard_normal(out=rows[1])
     # the synchronous and mollified kinds draw for every path on every step:
@@ -180,7 +189,10 @@ def _simulate_chunk(config, diffusion, init_sampler, chunk_index, n_chunk,
     draws each step inline with _fill_step into the first n columns of one
     row buffer, except with draw_ahead (synchronous and mollified kinds
     only), where _draws has a one-worker pool draw the next block of noise
-    meanwhile; both make the same calls in the same order.
+    meanwhile; both make the same calls in the same order.  The rows are
+    z1, z3, u, and z2 after them for the interpolated kind and for the
+    mollified kind under a varying sigma_bar; under a constant one the
+    mollified kind's z3 carries its z2 term too (2 normals a path-step).
     """
     rng = np.random.default_rng(
         np.random.SeedSequence((config.master_seed, chunk_index)))
@@ -238,7 +250,8 @@ def _simulate_chunk(config, diffusion, init_sampler, chunk_index, n_chunk,
             + (sb_const is None,)]
     bits = np.empty((3, n_chunk), dtype=bool)
     has_nd = c2 is not None or sb_const is None     # else nd is 0
-    n_rows = 4 if kind in ("interpolated", "approx_delta") else 3  # z2 too
+    merged = approx and sb_const is not None   # z3 carries z2's term
+    n_rows = 4 if kind == "interpolated" or approx and not merged else 3
     rows = np.empty((n_rows, n_chunk))
     if glue_kind:
         idx, idx_spare = np.arange(n_chunk), np.empty(n_chunk, dtype=np.intp)
@@ -287,7 +300,10 @@ def _simulate_chunk(config, diffusion, init_sampler, chunk_index, n_chunk,
 
             # path noise nx = c1 z1 [+ c1 z2] + sb_x z3 and separation noise
             # nd = c2 z1 [+ dsb z3]; the mollified kind scales the z1 and z2
-            # terms: nx = (c1 rc) z1 + (c1 sc) z2 + ..., nd = (c2 rc) z1 + ...
+            # terms: nx = (c1 rc) z1 + (c1 sc) z2 + ..., nd = (c2 rc) z1 + ...;
+            # under a constant sigma_bar (merged), where z2 and z3 move X and
+            # X_hat alike, it draws their sum as one normal: nx = (c1 rc) z1
+            # + sqrt(max(1 - rc rc, 0) (c1 c1) + sb sb) z3
             if approx:
                 # reflection weight rc = (w w) (3 - 2 w), the C^1 ramp of
                 # w = clip((r_old / delta - 0.5) / 0.5, 0, 1); it is exactly
@@ -300,15 +316,21 @@ def _simulate_chunk(config, diffusion, init_sampler, chunk_index, n_chunk,
                 np.subtract(3.0, tmp, out=tmp)
                 np.multiply(rc, rc, out=rc)
                 np.multiply(rc, tmp, out=rc)
-                # sc = sqrt(max(1 - rc rc, 0))
+                # sc = max(1 - rc rc, 0)
                 np.multiply(rc, rc, out=sc)
                 np.subtract(1.0, sc, out=sc)
                 np.maximum(sc, 0.0, out=sc)
-                np.sqrt(sc, out=sc)
                 np.multiply(rc, c1, out=nx)
                 np.multiply(nx, z1, out=nx)
-                np.multiply(sc, c1, out=sc)
-                np.multiply(sc, step[3], out=sc)
+                if merged:
+                    np.multiply(sc, c1 * c1, out=sc)
+                    np.add(sc, sb_const * sb_const, out=sc)
+                    np.sqrt(sc, out=sc)
+                    np.multiply(sc, z3, out=sc)
+                else:
+                    np.sqrt(sc, out=sc)
+                    np.multiply(sc, c1, out=sc)
+                    np.multiply(sc, step[3], out=sc)
                 np.add(nx, sc, out=nx)
                 np.multiply(rc, c2, out=nd)
                 np.multiply(nd, z1, out=nd)
@@ -319,8 +341,9 @@ def _simulate_chunk(config, diffusion, init_sampler, chunk_index, n_chunk,
                     np.add(nx, tmp, out=nx)
                 if c2 is not None:
                     np.multiply(z1, c2, out=nd)
-            np.multiply(sb_x, z3, out=tmp)
-            np.add(nx, tmp, out=nx)
+            if not merged:
+                np.multiply(sb_x, z3, out=tmp)
+                np.add(nx, tmp, out=nx)
             if sb_const is None and c2 is None:
                 np.multiply(dsb, z3, out=nd)
             elif sb_const is None:
@@ -364,7 +387,7 @@ def _simulate_chunk(config, diffusion, init_sampler, chunk_index, n_chunk,
                 _bridge(tmp, u_step, maybe, below)
                 # d = d_band in the band; sign clip(r_free, 0, half_band) where
                 # it entered; sign (half_band / 2) where bridged; else d_free
-                np.copyto(d, d_band, where=in_band)
+                np.copyto(d, np.where(in_band, d_band, d))
                 np.clip(r_free, 0.0, half_band, out=r_free)
                 np.multiply(sign, r_free, out=d, where=flag)
                 np.multiply(sign, 0.5 * half_band, out=d, where=maybe)
@@ -421,10 +444,12 @@ def _simulate_chunk(config, diffusion, init_sampler, chunk_index, n_chunk,
 def _bridge(neg_arg, u_step, maybe, below):
     """maybe &= u < exp(-arg), given -arg; overwrites neg_arg.
 
-    Where maybe holds, arg >= 0, so capping -arg at 0 changes nothing
-    there and keeps exp from overflowing where it does not.
+    Where maybe holds, 0 <= arg < 40, so clipping -arg to [-40, 0] changes
+    nothing there.  Where it does not, the clip keeps exp from overflowing,
+    and from taking numpy's slow underflow path (about 20 times the cost of
+    the plain one for arguments far below -700).
     """
-    np.minimum(neg_arg, 0.0, out=neg_arg)
+    np.clip(neg_arg, -40.0, 0.0, out=neg_arg)
     np.exp(neg_arg, out=neg_arg)
     np.logical_and(maybe, np.less(u_step, neg_arg, out=below), out=maybe)
 

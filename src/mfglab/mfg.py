@@ -504,13 +504,16 @@ class TurnpikeReport:
     verdicts: dict
 
 
+_SIGNAL_FLOOR = 1e-12   # a distance at or below it is rounding noise
+
+
 def _fit_rate(times, values, floor):
     """Log-linear slope of the branch rising above the plateau floor.
 
     Returns None when fewer than three points carry signal (no transient to
     fit: the solution already sits at the turnpike on that side).
     """
-    mask = (values > max(3.0 * floor, 1e-12)) & np.isfinite(values)
+    mask = (values > max(3.0 * floor, _SIGNAL_FLOOR)) & np.isfinite(values)
     if np.sum(mask) < 3:
         return None
     # least-squares slope from the biased covariance, as linregress takes it
@@ -566,7 +569,10 @@ def turnpike_report(scenario: Scenario, flow: MeasureFlow,
     verdicts = {
         "flow_bound": bool(np.all(flow_pass)),
         "value_bound": value_ok,
-        "plateau_ratio": float(plateau / max(d_flow[0], 1e-300)),
+        # a flow that starts at the ergodic law has no transient to settle
+        # (its distances are rounding noise): no ratio, vacuously fine
+        "plateau_ratio": (float(plateau / d_flow[0])
+                          if d_flow[0] > _SIGNAL_FLOOR else None),
         "lam_in": lam_in, "lam_out": lam_out,
         "lam_star": rc.lambda_star,
         # an absent transient has no rate to exhibit: vacuously fine

@@ -118,10 +118,16 @@ def reference_chunk(config, diffusion, init_sampler, chunk_index, n_chunk,
             nd = 2.0 * amp * z1 + dsb * z3
             v_refl = 2.0 * sigma0 ** 2
         else:  # approx_delta
-            z2 = scatter(rng.standard_normal(n_live), live)
             rc = np.where(in_band, 0.0, _smoothstep(r_old / config.delta))
-            sc = np.sqrt(np.maximum(1.0 - rc * rc, 0.0))
-            nx = sigma0 * rc * z1 + sigma0 * sc * z2 + sb_x * z3
+            if diffusion.is_constant:
+                # z2 and z3 move X and X_hat alike: one normal carries both
+                nx = sigma0 * rc * z1 + np.sqrt(
+                    np.maximum(1.0 - rc * rc, 0.0) * (sigma0 * sigma0)
+                    + sb_x * sb_x) * z3
+            else:
+                z2 = scatter(rng.standard_normal(n_live), live)
+                sc = np.sqrt(np.maximum(1.0 - rc * rc, 0.0))
+                nx = sigma0 * rc * z1 + sigma0 * sc * z2 + sb_x * z3
             nd = 2.0 * sigma0 * rc * z1 + dsb * z3
             v_refl = 4.0 * sigma0 ** 2
 

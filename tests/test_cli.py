@@ -128,6 +128,21 @@ def test_double_well_turnpike_repeat_determinism(tmp_path):
         out.append([(run / name).read_bytes()
                     for name in ("turnpike.csv", "summary.json")])
     assert out[0] == out[1]
+    # a flow with a transient is judged by its plateau ratio
+    verdict = json.loads(out[0][1])["assertions"]["turnpike_plateau"]
+    assert verdict["pass"] and isinstance(verdict["ratio"], float)
+
+
+def test_turnpike_from_the_ergodic_law_has_no_plateau_ratio(tmp_path):
+    """ou starts at its stationary law, so d_flow is rounding noise from
+    t = 0: no ratio of two such numbers is formed, and the plateau holds
+    vacuously."""
+    assert main(["turnpike", "--scenario", "ou",
+                 "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "ou-turnpike"
+                          / "summary.json").read_text())
+    verdict = summary["assertions"]["turnpike_plateau"]
+    assert verdict == {"pass": True, "ratio": "none"}
 
 
 def test_mu0_outside_mean_bound_exit_2(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 from dataclasses import replace
@@ -317,6 +318,46 @@ def test_reflected_kinds_match_reference(tm_ou, seed, kind, n_paths,
         assert np.array_equal(getattr(got, f), getattr(ref, f)), f
     # gluing absorbs: the unglued fraction never rises
     assert np.all(np.diff(got.p_neq) <= 0.0)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       delta=st.sampled_from([0.02, 0.05, 0.2]), varying=st.booleans(),
+       n_paths=st.integers(1000, 1050),
+       chunk_size=st.sampled_from([16384, 1024]),
+       n_threads=st.sampled_from([1, 2]))
+def test_mollified_kind_matches_reference(tm_ou, seed, delta, varying,
+                                          n_paths, chunk_size, n_threads):
+    # the kernel's in-band select and its draw layout (z1, z3, u under a
+    # constant sigma_bar, z1, z3, u, z2 under a varying one) against the
+    # plain expressions; one chunk at 2 workers draws its noise ahead
+    cfg = CouplingConfig(kind="approx_delta", dt=1e-2, n_paths=n_paths,
+                         t_grid=(0.0, 0.3, 0.6, 1.0, 2.0),
+                         beta=lambda t, x: -x,
+                         beta_hat=lambda t, x: -x + 0.3, delta=delta,
+                         master_seed=seed, chunk_size=chunk_size,
+                         n_threads=n_threads)
+    diff = VARYING if varying else DIFF
+    got = simulate_coupling(cfg, diff, spread_pair, tm=tm_ou)
+    ref = reference_stats(cfg, diff, spread_pair, tm_ou)
+    for f in ("mean_f", "se_f", "p_neq", "se_p", "mean_r", "mean_f0"):
+        assert np.array_equal(getattr(got, f), getattr(ref, f)), f
+
+
+def test_bridge_takes_no_underflow_path():
+    # -arg spans [-1e5, 0]: the kernel's bridge test reads exp(-arg) only
+    # where maybe holds (-arg > -40), and never lets exp underflow
+    rng = np.random.default_rng(3)
+    neg_arg = np.concatenate([np.linspace(-1e5, 0.0, 4001),
+                              -40.0 + np.array([-1e-9, 0.0, 1e-9]),
+                              -rng.exponential(3.0, 4000)])
+    u = rng.random(len(neg_arg))
+    maybe = neg_arg > -40.0
+    expect = [m and ui < math.exp(a) for m, ui, a in zip(maybe, u, neg_arg)]
+    below = np.empty(len(neg_arg), dtype=bool)
+    with np.errstate(under="raise"):
+        couplings._bridge(neg_arg.copy(), u, maybe, below)
+    assert maybe.tolist() == expect
+    assert 0 < np.sum(maybe) < np.sum(neg_arg > -40.0)
 
 
 def test_draw_ahead_leaves_no_thread(tm_ou):

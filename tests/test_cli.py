@@ -112,14 +112,24 @@ def test_ergodic_judges_the_seminorm_only_with_an_interaction(
     assert json.loads((run / "ergodic.json").read_text())["fnorm_phi"] is None
 
 
-def test_double_well_turnpike_repeat_determinism(tmp_path):
-    """A coarse double-well turnpike (conv-tanh interaction, T = 8) writes
-    the same turnpike.csv and summary.json twice."""
+def _quick_double_well(tmp_path, regime="high"):
+    """double_well_small on a coarse grid (n_x 101, dt 1e-3) at T = 8."""
     raw = json.loads(scenario_path("double_well_small").read_text())
     raw["grid"] = {"x_min": -4.0, "x_max": 4.0, "n_x": 101, "dt": 1e-3}
     raw["horizon"] = 8.0
-    sc = tmp_path / "quick_dw.json"
+    raw["regime"] = regime
+    if regime == "low":
+        # the cost is u^2/2 with q = 0: its state oscillation is exactly 0
+        raw["running_cost"]["C_L_osc"] = 0.0
+    sc = tmp_path / f"quick_dw_{regime}.json"
     sc.write_text(json.dumps(raw))
+    return sc
+
+
+def test_double_well_turnpike_repeat_determinism(tmp_path):
+    """A coarse double-well turnpike (conv-tanh interaction, T = 8) writes
+    the same turnpike.csv and summary.json twice."""
+    sc = _quick_double_well(tmp_path)
     out = []
     for tag in ("a", "b"):
         assert main(["turnpike", "--scenario", str(sc),
@@ -131,6 +141,36 @@ def test_double_well_turnpike_repeat_determinism(tmp_path):
     # a flow with a transient is judged by its plateau ratio
     verdict = json.loads(out[0][1])["assertions"]["turnpike_plateau"]
     assert verdict["pass"] and isinstance(verdict["ratio"], float)
+
+
+@pytest.mark.parametrize("regime", ["mild", "low"])
+def test_turnpike_regime_end_to_end(tmp_path, monkeypatch, regime):
+    """The coarse double well certifies in the mild and low regimes too,
+    and its turnpike run passes every assertion there.  The low regime
+    measures the flow in TV and asserts its envelope on a nonempty window
+    past the kernel knee."""
+    seen = []
+
+    def report(sc, flow, *rest):
+        seen.append((flow, rest[1], cli_report(sc, flow, *rest)))
+        return seen[-1][2]
+
+    cli_report = cli.turnpike_report
+    monkeypatch.setattr(cli, "turnpike_report", report)
+    assert main(["turnpike", "--scenario", str(_quick_double_well(tmp_path,
+                                                                  regime)),
+                 "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "double_well_small-turnpike"
+                          / "summary.json").read_text())
+    assert summary["failures"] == [] and len(summary["assertions"]) == 6
+    if regime == "low":
+        from mfglab.distances import tv_grid
+        flow, sol, rep = seen[0]
+        assert np.any(rep.window)
+        dens = flow.densities[np.searchsorted(flow.times, rep.times)]
+        assert np.array_equal(rep.d_flow, tv_grid(
+            flow.xs, dens, np.broadcast_to(sol.mu_inf, dens.shape),
+            check=False))
 
 
 def test_turnpike_from_the_ergodic_law_has_no_plateau_ratio(tmp_path):

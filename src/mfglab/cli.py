@@ -27,7 +27,7 @@ from .errors import CertificationError, ConfigError, MfglabError
 from .model import (GaussianLaw, check_smallness, load_scenario,
                     probe_assumptions, scenario_path)
 from .metrics import (check_differential_inequality, q_kernel, save_metric,
-                      within_band)
+                      within_band, within_bound)
 from .couplings import CouplingConfig, moment_diagnostic, simulate_coupling
 from .control import hessian_ledger, lipschitz_ledger, pontryagin_residual
 from .mfg import (REPORT_RATE_FRACTION, frozen_ergodic, solve_ergodic_mfg,
@@ -212,10 +212,9 @@ def cmd_control(sc, run, args):
                "control_sup": led.extras["control"].as_dict()}
     run.record("value_seminorm_bound", led.passes)
     run.record("control_magnitude_bound", led.extras["control"].passes)
-    if sc.diffusion.is_constant and sc.terminal_cost.C_xx_G is not None:
-        hled = hessian_ledger(value, sc, rep.tm_b)
-        ledgers["value_hessian"] = hled.as_dict()
-        run.record("value_hessian_bound", hled.passes)
+    hled = hessian_ledger(value, sc, rep.tm_b)
+    ledgers["value_hessian"] = hled.as_dict()
+    run.record("value_hessian_bound", hled.passes)
     pr = pontryagin_residual(value, sc, n_paths=1000,
                              deltas=(0.02, 0.01), seed=sc.mc.master_seed)
     ok = all(1.5 <= r <= 3.0 for r in pr["ratios"]) if pr["ratios"] else True
@@ -273,8 +272,8 @@ def cmd_mfg(sc, run, args):
                if "contraction_factor" in e]
     if factors and rep.lambda_star > 0:
         eps = rep.epsilon(REPORT_RATE_FRACTION * rep.lambda_star)
-        run.record("picard_contraction", min(factors) <= eps * 1.2,
-                   measured=min(factors), certified=eps)
+        run.record("picard_contraction", within_bound(max(factors), eps),
+                   measured=max(factors), certified=eps)
     run.plot_script(["plot 'mfg_trace.csv' using 1:2 with linespoints "
                      "title 'sup W1 change'"])
 
@@ -293,8 +292,8 @@ def cmd_turnpike(sc, run, args):
     report = turnpike_report(sc, flow, value, sol, rep)
     write_csv(run.file("turnpike.csv"),
               ["t", "d_flow", "d_value", "bound", "pass"],
-              [report.times, report.d_flow, report.d_value,
-               report.bound_flow, report.flow_pass.astype(int)])
+              [report.flow.times, report.flow.measured, report.value.measured,
+               report.flow.theoretical, report.flow.row_pass.astype(int)])
     v = report.verdicts
     run.record("turnpike_flow_bound", v["flow_bound"])
     run.record("turnpike_value_bound", v["value_bound"])

@@ -200,11 +200,6 @@ class MeasureFlow:
     def mean(self):
         return np.trapezoid(self.xs[None, :] * self.densities, self.xs, axis=1)
 
-    def variance(self):
-        m = self.mean()
-        return np.trapezoid((self.xs[None, :] - m[:, None]) ** 2
-                            * self.densities, self.xs, axis=1)
-
     def moment(self):
         """First absolute moment of each slice: one matrix-vector product
         with |x| times the trapezoid weights, so no flow-sized temporary."""
@@ -483,16 +478,21 @@ class BoundLedger:
     extras: dict = field(default_factory=dict)
 
     @property
+    def row_pass(self):
+        """Per time: outside the window, or measured within its bound."""
+        return np.logical_not(self.window) | within_bound(self.measured,
+                                                          self.theoretical)
+
+    @property
     def passes(self):
-        ok = within_bound(self.measured, self.theoretical)
-        return bool(np.all(ok[self.window])) if np.any(self.window) else True
+        return bool(np.all(self.row_pass))
 
     def rows(self):
         return [{"t": float(t), "measured": float(m), "theoretical": float(b),
-                 "in_window": bool(w),
-                 "pass": bool(within_bound(m, b) or not w)}
-                for t, m, b, w in zip(self.times, self.measured,
-                                      self.theoretical, self.window)]
+                 "in_window": bool(w), "pass": bool(p)}
+                for t, m, b, w, p in zip(self.times, self.measured,
+                                         self.theoretical, self.window,
+                                         self.row_pass)]
 
     def as_dict(self):
         return {"kind": self.kind, "passes": self.passes, "rows": self.rows(),

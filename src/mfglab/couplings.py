@@ -1,5 +1,7 @@
-"""Discrete-time coupled diffusions: synchronous, reflection, controlled
-reflection, interpolated, and mollified (delta-approximate) couplings.
+"""Discrete-time coupled diffusions: synchronous, reflection, interpolated,
+and mollified (delta-approximate) couplings.  Any kind takes a shared
+control, applied along the first path to both dynamics; a reflection run
+with one is the controlled reflection coupling.
 
 Paths are simulated in fixed-size chunks, each with its own counter-derived
 RNG stream, and chunk results are reduced in index order, so estimators are
@@ -31,9 +33,8 @@ from .errors import ConfigError, NumericalError
 from .metrics import gap_envelope, girsanov_tv, q_kernel
 
 
-KINDS = ("synchronous", "reflection", "controlled_reflection", "interpolated",
-         "approx_delta")
-_GLUE_KINDS = ("reflection", "controlled_reflection", "interpolated")
+KINDS = ("synchronous", "reflection", "interpolated", "approx_delta")
+_GLUE_KINDS = ("reflection", "interpolated")
 _CHUNK_SIZE = 16384       # paths per chunk, each with its own RNG stream
 _OVERFLOW_GUARD = 1e7     # |x| beyond which a path run aborts
 _DRAW_BLOCK = 1 << 17     # draws per block of noise drawn ahead (1 MB)
@@ -66,8 +67,6 @@ class CouplingConfig:
             raise ConfigError(f"unknown coupling kind {self.kind!r}")
         if self.kind == "approx_delta" and self.beta_hat is None:
             raise ConfigError("approx_delta needs a second drift")
-        if self.kind == "controlled_reflection" and self.control is None:
-            raise ConfigError("controlled_reflection needs a control field")
 
     def eps_for(self, sigma0):
         """The per-step noise scale sqrt(8 sigma0^2 dt): a reflected pair
@@ -189,7 +188,8 @@ def _simulate_chunk(config, diffusion, init_sampler, chunk_index, n_chunk,
     draws each step inline with _fill_step into the first n columns of one
     row buffer, except with draw_ahead (synchronous and mollified kinds
     only), where _draws has a one-worker pool draw the next block of noise
-    meanwhile; both make the same calls in the same order.  The rows are
+    into its own two blocks meanwhile, and the chunk allocates no row
+    buffer; both make the same calls in the same order.  The rows are
     z1, z3, u, and z2 after them for the interpolated kind and for the
     mollified kind under a varying sigma_bar; under a constant one the
     mollified kind's z3 carries its z2 term too (2 normals a path-step).
@@ -252,7 +252,7 @@ def _simulate_chunk(config, diffusion, init_sampler, chunk_index, n_chunk,
     has_nd = c2 is not None or sb_const is None     # else nd is 0
     merged = approx and sb_const is not None   # z3 carries z2's term
     n_rows = 4 if kind == "interpolated" or approx and not merged else 3
-    rows = np.empty((n_rows, n_chunk))
+    rows = None if draw_ahead else np.empty((n_rows, n_chunk))
     if glue_kind:
         idx, idx_spare = np.arange(n_chunk), np.empty(n_chunk, dtype=np.intp)
     if approx:
@@ -273,7 +273,7 @@ def _simulate_chunk(config, diffusion, init_sampler, chunk_index, n_chunk,
                 r_old, xh, drift_d, nx, nd, tmp, bxa, bxha, dsb = (
                     None if w is None else w[:n] for w in work)
                 flag, maybe, below = bits[:, :n]
-                step = rows[:, :n]
+                step = None if rows is None else rows[:, :n]
                 n_view = n
             t = k * dt
             np.abs(d, out=r_old)

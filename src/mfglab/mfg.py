@@ -20,13 +20,13 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .control import (MeasureFlow, ValueFunction, apply_bands,
+from .control import (BoundLedger, MeasureFlow, ValueFunction, apply_bands,
                       diffusion_bands, gradient_bands, gradient_second_order,
                       invariant_density, optimal_flow, solve_fokker_planck,
                       solve_hjb, stationary_density_cc, value_stencil)
 from .distances import f_norm, lip_norm, tv_grid, w1_grid
 from .errors import CertificationError, FixedPointError
-from .metrics import q_kernel, within_bound
+from .metrics import TwistedMetric, q_kernel, within_bound
 from .model import (GridDensity, Scenario, SmallnessReport, check_smallness,
                     shifted_metric)
 from .transport import wf_grid
@@ -364,6 +364,7 @@ def solve_ergodic_mfg(scenario: Scenario, tol=1e-7, force=False,
 
 @dataclass
 class TurnpikeConstants:
+    regime: str
     lam: float
     tau_G: float
     C_i: float
@@ -371,19 +372,21 @@ class TurnpikeConstants:
     value_terms: dict
     M1: float
     M1_tilde: float
+    tm_bar: TwistedMetric = field(repr=False)
 
-    def flow_bound(self, t, T, W0, regime, tm_bar):
+    def flow_bound(self, t, T, W0):
         """Envelope of the measured flow distance from W0 = W_f at t = 0.
 
         The distance is TV in the low regime and W1 otherwise; the W_f
         envelope becomes a W1 one through the sandwich C_bar W1 <= W_f.
         """
+        C_bar = self.tm_bar.C
         tail = self.C_f_flow * np.exp(-self.lam * (T - t))
-        if regime == "low":
-            return self.C_i * W0 * q_kernel(tm_bar.C, self.lam,
-                                            tm_bar.sigma_check,
+        if self.regime == "low":
+            return self.C_i * W0 * q_kernel(C_bar, self.lam,
+                                            self.tm_bar.sigma_check,
                                             max(t, 1e-12)) + tail
-        return (self.C_i * W0 * np.exp(-self.lam * t) + tail) / tm_bar.C
+        return (self.C_i * W0 * np.exp(-self.lam * t) + tail) / C_bar
 
     def value_bound(self, t, T, W0):
         v = self.value_terms
@@ -419,14 +422,13 @@ def turnpike_constants(scenario: Scenario, rc: SmallnessReport,
         arg = (g_fnorm - 2.0 * sqrt_e * C_x_psi) / ((4.0 - 2.0 * sqrt_e)
                                                     * C_x_psi) \
             if C_x_psi > 0 else 0.0
-        shift_level = (cost.C_u_L0 + max((8.0 - 2.0 * sqrt_e) * C_x_psi,
-                                         g_fnorm)) / rho
     else:
         arg = (g_fnorm - C_x_psi) / C_x_psi if C_x_psi > 0 else 0.0
-        shift_level = (cost.C_u_L0 + max(2.0 * C_x_psi, g_fnorm)) / rho
     tau_G = max(np.log(arg) / tm_b.lam, 0.0) if arg > 1.0 else 0.0
 
     if tau_G > 0.0:
+        # the control bound of tm_bar, or the terminal's when it is larger
+        shift_level = max(rc.C_u_bar, (cost.C_u_L0 + g_fnorm) / rho)
         _, tm_G = shifted_metric(scenario.drift.profile, shift_level, "grad",
                                  sigma0, "terminal-shifted")
     else:
@@ -486,19 +488,15 @@ def turnpike_constants(scenario: Scenario, rc: SmallnessReport,
     M1_tilde = ((1.0 + 1.0 / C_b) * mom_b
                 + (mom_0 + (C_x_psi + g_fnorm + cost.C_u_L0)
                    / (rho * lam_b)) / C_b)
-    return TurnpikeConstants(lam=lam, tau_G=tau_G, C_i=C_i,
+    return TurnpikeConstants(regime=regime, lam=lam, tau_G=tau_G, C_i=C_i,
                              C_f_flow=C_f_flow, value_terms=value_terms,
-                             M1=M1, M1_tilde=M1_tilde)
+                             M1=M1, M1_tilde=M1_tilde, tm_bar=tm_bar)
 
 
 @dataclass
 class TurnpikeReport:
-    times: np.ndarray
-    d_flow: np.ndarray
-    d_value: np.ndarray
-    bound_flow: np.ndarray
-    window: np.ndarray
-    flow_pass: np.ndarray      # per time: outside the window or in the bound
+    flow: BoundLedger          # d_flow (TV in low, W1 otherwise)
+    value: BoundLedger         # d_value, sup |grad phi - grad phi_inf|
     W0: float
     constants: TurnpikeConstants
     verdicts: dict
@@ -544,9 +542,6 @@ def turnpike_report(scenario: Scenario, flow: MeasureFlow,
 
     W0 = wf_grid(xs, flow.densities[0], ergodic.mu_inf, tm_bar.f,
                  n_atoms=128, check=False)
-    bound_flow = np.array([constants.flow_bound(t, T, W0, scenario.regime,
-                                                tm_bar) for t in times])
-    bound_value = np.array([constants.value_bound(t, T, W0) for t in times])
     window = times <= T - constants.tau_G + 1e-12
     if low:
         window &= times >= 1.0 / (2.0 * tm_bar.lam)
@@ -559,16 +554,21 @@ def turnpike_report(scenario: Scenario, flow: MeasureFlow,
     slope_out = _fit_rate(T - times[out_mask], d_flow[out_mask], plateau)
     lam_out = None if slope_out is None else -slope_out
 
-    flow_pass = ~window | within_bound(d_flow, bound_flow)
-    value_ok = bool(np.all(within_bound(d_value[window], bound_value[window])))
+    flow_led = BoundLedger(
+        kind="turnpike_flow", times=times, measured=d_flow, window=window,
+        theoretical=np.array([constants.flow_bound(t, T, W0) for t in times]))
+    value_led = BoundLedger(
+        kind="turnpike_value", times=times, measured=d_value, window=window,
+        theoretical=np.array([constants.value_bound(t, T, W0)
+                              for t in times]))
     half_star = 0.5 * rc.lambda_star
     # the first moment stays bounded in time: the turnpike holds on R, not
     # only on the box; judged on every stored slice
     moment = float(np.max(flow.moment()))
     moment_cap = min(constants.M1, constants.M1_tilde)
     verdicts = {
-        "flow_bound": bool(np.all(flow_pass)),
-        "value_bound": value_ok,
+        "flow_bound": flow_led.passes,
+        "value_bound": value_led.passes,
         # a flow that starts at the ergodic law has no transient to settle
         # (its distances are rounding noise): no ratio, vacuously fine
         "plateau_ratio": (float(plateau / d_flow[0])
@@ -581,8 +581,6 @@ def turnpike_report(scenario: Scenario, flow: MeasureFlow,
         "moment": moment, "moment_cap": moment_cap,
         "moment_ok": bool(within_bound(moment, moment_cap)),
     }
-    return TurnpikeReport(times=times, d_flow=d_flow, d_value=d_value,
-                          bound_flow=bound_flow, window=window,
-                          flow_pass=flow_pass, W0=W0,
+    return TurnpikeReport(flow=flow_led, value=value_led, W0=W0,
                           constants=constants, verdicts=verdicts)
 

@@ -386,6 +386,7 @@ class SmallnessReport:
     margin: float                   # threshold / value (inf when value is 0)
     passes: bool
     C_x_psi: float
+    C_u_bar: float                  # control bound the drift is shifted by
     tm_b: TwistedMetric
     tm_bar: TwistedMetric           # degenerate when the shift leaves no rate
     epsilon: Callable               # inf everywhere unless the condition passes
@@ -465,15 +466,15 @@ def check_smallness(scenario: Scenario) -> SmallnessReport:
         if cost.C_x_L is None:
             raise ConfigError("high/mild regimes need a declared C_x_L")
         C_x_psi = (cost.C_x_L + inter.C_x_F) / (lam_b * C_b)
-        C_u_shift = (2.0 * C_x_psi + cost.C_u_L0) / rho
+        C_u_bar = (2.0 * C_x_psi + cost.C_u_L0) / rho
     else:
         if cost.C_L_osc is None:
             raise ConfigError("low regime needs a declared C_L_osc")
         C_x_psi = (cost.C_L_osc + inter.C_F) \
             / (np.sqrt(np.pi * lam_b) * C_b * sigma0)
-        C_u_shift = ((8.0 - 2.0 * np.sqrt(np.e)) * C_x_psi + cost.C_u_L0) / rho
+        C_u_bar = ((8.0 - 2.0 * np.sqrt(np.e)) * C_x_psi + cost.C_u_L0) / rho
 
-    _, tm_bar = shifted_metric(scenario.drift.profile, C_u_shift, "grad",
+    _, tm_bar = shifted_metric(scenario.drift.profile, C_u_bar, "grad",
                                sigma0, f"{scenario.drift.profile.name}-bar")
     lam_bar, C_bar = tm_bar.lam, tm_bar.C
 
@@ -537,8 +538,8 @@ def check_smallness(scenario: Scenario) -> SmallnessReport:
 
     return SmallnessReport(regime=regime, condition_value=value,
                            threshold=threshold, margin=margin, passes=passes,
-                           C_x_psi=C_x_psi, tm_b=tm_b, tm_bar=tm_bar,
-                           epsilon=eps, lambda_star=lambda_star,
+                           C_x_psi=C_x_psi, C_u_bar=C_u_bar, tm_b=tm_b,
+                           tm_bar=tm_bar, epsilon=eps, lambda_star=lambda_star,
                            outer_factor=outer, relaxed=relaxed)
 
 

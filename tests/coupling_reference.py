@@ -107,7 +107,7 @@ def reference_chunk(config, diffusion, init_sampler, chunk_index, n_chunk,
             nx = sigma0 * z1 + sb_x * z3
             nd = dsb * z3
             v_refl = 0.0
-        elif kind in ("reflection", "controlled_reflection"):
+        elif kind == "reflection":
             nx = sigma0 * z1 + sb_x * z3
             nd = 2.0 * sigma0 * z1 + dsb * z3
             v_refl = 4.0 * sigma0 ** 2

@@ -50,6 +50,24 @@ def ou_diff():
     return constant_diffusion(np.sqrt(2.0))
 
 
+_MC_FIELDS = {"mean_f": ("bound_f", "se_f"), "p_neq": ("bound_p", "se_p"),
+              "mean_f2": ("bound_f2", "se_f2")}
+
+
+def mc_margins(stats, names):
+    """Each estimator's smallest (bound - mean) / se over the output times
+    with se > 0, as 'margin name m se, ...'."""
+    parts = []
+    for name in names:
+        mean = getattr(stats, name)
+        bound, se = (getattr(stats, a) for a in _MC_FIELDS[name])
+        live = se > 0
+        m = (np.min((bound[live] - mean[live]) / se[live]) if np.any(live)
+             else np.inf)
+        parts.append(f"{name} {m:.4g} se")
+    return "margin " + ", ".join(parts)
+
+
 def pair_init(r0):
     def init(n, rng):
         return np.full(n, 0.5 * r0), np.full(n, -0.5 * r0)
@@ -115,7 +133,8 @@ def test_criterion_04_reflection_contraction(tm_ou, ou_diff):
     ok_f = bool(np.all(stats.mean_f <= stats.bound_f + 3 * stats.se_f))
     ok_p = bool(np.all(stats.p_neq <= stats.bound_p + 3 * stats.se_p))
     verdict(4, ok_f and ok_p and elapsed < 60.0,
-            f"mirror-coupling contraction and coalescence, {elapsed:.0f} s")
+            f"mirror-coupling contraction and coalescence, "
+            f"{mc_margins(stats, ('mean_f', 'p_neq'))}, {elapsed:.0f} s")
 
 
 def test_criterion_05_interpolated_coupling(ou_diff):
@@ -132,7 +151,8 @@ def test_criterion_05_interpolated_coupling(ou_diff):
           and bool(np.all(stats.mean_f2 <= stats.bound_f2
                           + 3 * stats.se_f2)))
     verdict(5, ok, f"partial-mirror coupling with quadratic cost, "
-            f"lam2={qtm.lambda2:.3f}")
+            f"lam2={qtm.lambda2:.3f}, "
+            f"{mc_margins(stats, ('mean_f', 'p_neq', 'mean_f2'))}")
 
 
 @pytest.mark.slow
@@ -302,8 +322,9 @@ def test_criterion_11b_turnpike_calibrated():
     report = turnpike_report(sc, flow, value, sol, rep)
     elapsed = time.perf_counter() - t0
     v = report.verdicts
-    i10 = int(np.argmin(np.abs(report.times - 10.0)))
-    plateau10 = report.d_flow[i10] / report.d_flow[0]
+    d_flow = report.flow.measured
+    i10 = int(np.argmin(np.abs(report.flow.times - 10.0)))
+    plateau10 = d_flow[i10] / d_flow[0]
     half_star = 0.5 * rep.lambda_star
     rates_ok = ((v["lam_in"] is None or v["lam_in"] >= half_star)
                 and (v["lam_out"] is None or v["lam_out"] >= half_star))
@@ -324,7 +345,8 @@ def test_criterion_12_exact_fixed_point():
                                       terminal_values=sol.phi_inf,
                                       track_contraction=False)
     report = turnpike_report(sc, flow, value, sol, rep)
-    dmax = max(float(np.max(report.d_flow)), float(np.max(report.d_value)))
+    dmax = max(float(np.max(report.flow.measured)),
+               float(np.max(report.value.measured)))
     verdict(12, dmax <= 1e-4,
             f"distances at the exact fixed point stay at {dmax:.2e}")
 

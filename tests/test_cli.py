@@ -166,9 +166,9 @@ def test_turnpike_regime_end_to_end(tmp_path, monkeypatch, regime):
     if regime == "low":
         from mfglab.distances import tv_grid
         flow, sol, rep = seen[0]
-        assert np.any(rep.window)
-        dens = flow.densities[np.searchsorted(flow.times, rep.times)]
-        assert np.array_equal(rep.d_flow, tv_grid(
+        assert np.any(rep.flow.window)
+        dens = flow.densities[np.searchsorted(flow.times, rep.flow.times)]
+        assert np.array_equal(rep.flow.measured, tv_grid(
             flow.xs, dens, np.broadcast_to(sol.mu_inf, dens.shape),
             check=False))
 
@@ -202,6 +202,23 @@ def test_repeat_run_bitwise_identical(quick_mean_scenario, tmp_path):
     a = (tmp_path / "r1" / "lq_mean-mfg" / "mfg_trace.csv").read_bytes()
     b = (tmp_path / "r2" / "lq_mean-mfg" / "mfg_trace.csv").read_bytes()
     assert a == b
+
+
+def test_mfg_picard_contraction_judges_every_factor(quick_mean_scenario,
+                                                     tmp_path):
+    """picard_contraction records the largest measured contraction factor,
+    judged against the certified one."""
+    assert main(["mfg", "--scenario", str(quick_mean_scenario),
+                 "--out", str(tmp_path)]) == 0
+    run = tmp_path / "lq_mean-mfg"
+    rows = (run / "mfg_trace.csv").read_text().strip().splitlines()[1:]
+    factors = [float(r.split(",")[2]) for r in rows]
+    factors = [f for f in factors if not np.isnan(f)]
+    assert len(factors) == 2 and factors[0] < factors[1]
+    verdict = json.loads((run / "summary.json").read_text())[
+        "assertions"]["picard_contraction"]
+    assert verdict["pass"]
+    assert verdict["measured"] == max(factors) <= verdict["certified"]
 
 
 def test_sweep_lambda_star_monotone(tmp_path):

@@ -103,9 +103,10 @@ def test_interpolated_contraction(tm_half):
 
 
 def test_controlled_reflection_shared_control(tm_ou):
-    # bounded control applied along the first path to both dynamics: the
-    # separation process is unchanged, so the same contraction holds
-    cfg = CouplingConfig(kind="controlled_reflection", dt=1e-3,
+    # controlled reflection: a bounded control applied along the first path
+    # to both dynamics leaves the separation process unchanged, so the same
+    # contraction holds
+    cfg = CouplingConfig(kind="reflection", dt=1e-3,
                          n_paths=10_000, t_grid=(1.0, 2.0),
                          beta=lambda t, x: -x,
                          control=lambda t, x: 0.5 * np.tanh(x),
@@ -268,17 +269,17 @@ def short_switch_interval():
 
 
 def test_determinism_across_threads(tm_ou, short_switch_interval):
-    # every kind, both diffusion paths, one chunk and three, and 1, 2 and 8
-    # workers (the synchronous and mollified kinds draw noise ahead at 8
-    # for three chunks, at 2 for one): every estimator equals the
-    # reference kernel's bit for bit
+    # every kind and reflection with a shared control, both diffusion
+    # paths, one chunk and three, and 1, 2 and 8 workers (the synchronous
+    # and mollified kinds draw noise ahead at 8 for three chunks, at 2 for
+    # one): every estimator equals the reference kernel's bit for bit
     fields = ("mean_f", "se_f", "p_neq", "se_p", "mean_r", "bound_f",
               "bound_p", "mean_f0")
-    for kind in KINDS:
-        extra = {"controlled_reflection":
-                 dict(control=lambda t, x: 0.5 * np.tanh(x)),
-                 "approx_delta": dict(beta_hat=lambda t, x: -x + 0.3,
-                                      delta=0.05)}.get(kind, {})
+    cases = [(kind, {"approx_delta": dict(beta_hat=lambda t, x: -x + 0.3,
+                                          delta=0.05)}.get(kind, {}))
+             for kind in KINDS]
+    cases.append(("reflection", dict(control=lambda t, x: 0.5 * np.tanh(x))))
+    for kind, extra in cases:
         for diff in (DIFF, VARYING):
             for chunk_size in (16384, 1024):
                 cfg = CouplingConfig(kind=kind, dt=1e-2, n_paths=3000,
@@ -290,7 +291,8 @@ def test_determinism_across_threads(tm_ou, short_switch_interval):
                     got = simulate_coupling(
                         replace(cfg, n_threads=n_threads), diff,
                         spread_pair, tm=tm_ou)
-                    case = (kind, diff.is_constant, chunk_size, n_threads)
+                    case = (kind, sorted(extra), diff.is_constant,
+                            chunk_size, n_threads)
                     for f in fields:
                         assert np.array_equal(getattr(got, f),
                                               getattr(ref, f)), (case, f)
@@ -299,14 +301,15 @@ def test_determinism_across_threads(tm_ou, short_switch_interval):
 @given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(_GLUE_KINDS),
        n_paths=st.integers(1000, 1050),
        chunk_size=st.sampled_from([16384, 1024]), varying=st.booleans(),
-       n_threads=st.sampled_from([1, 2]))
+       n_threads=st.sampled_from([1, 2]), controlled=st.booleans())
 def test_reflected_kinds_match_reference(tm_ou, seed, kind, n_paths,
-                                         chunk_size, varying, n_threads):
+                                         chunk_size, varying, n_threads,
+                                         controlled):
     # the kernel carries only unglued pairs and draws for them alone; the
     # full-array reference scatters the same draws to the unglued mask.
     # n_paths crosses the 1024-path chunk boundary
-    extra = ({"control": lambda t, x: 0.5 * np.tanh(x)}
-             if kind == "controlled_reflection" else {})
+    extra = ({"control": lambda t, x: 0.5 * np.tanh(x)} if controlled
+             else {})
     cfg = CouplingConfig(kind=kind, dt=1e-2, n_paths=n_paths,
                          t_grid=(0.0, 0.3, 0.6, 1.0, 2.0),
                          beta=lambda t, x: -x, master_seed=seed,

@@ -297,14 +297,14 @@ def test_turnpike_flow_bound_holds_at_start():
     flow, value, _, _ = solve_mfg(sc, tol=1e-6, smallness=rep)
     report = turnpike_report(sc, flow, value, sol, rep)
     tc = report.constants
-    assert report.W0 < report.d_flow[0]
-    assert report.bound_flow[0] >= tc.C_i * report.W0 / rep.tm_bar.C
-    assert report.bound_flow[0] >= report.d_flow[0]
+    assert report.W0 < report.flow.measured[0]
+    assert report.flow.theoretical[0] >= tc.C_i * report.W0 / rep.tm_bar.C
+    assert report.flow.theoretical[0] >= report.flow.measured[0]
     assert report.verdicts["flow_bound"]
     # d_value reads the stored gradient slice at each report time
     ref = [np.max(np.abs(value.grad[value.slice_at(t)] - sol.grad_inf))
-           for t in report.times]
-    assert np.array_equal(report.d_value, ref)
+           for t in report.value.times]
+    assert np.array_equal(report.value.measured, ref)
 
 
 def test_turnpike_constants_levels(lq_mean_quick):
@@ -347,8 +347,8 @@ def test_turnpike_exact_fixed_point(lq_mean_quick):
         sc, tol=1e-9, smallness=rep, mu0_density=sol.mu_inf,
         terminal_values=sol.phi_inf, track_contraction=False)
     report = turnpike_report(sc, flow, value, sol, rep)
-    assert np.max(report.d_flow) <= 1e-4
-    assert np.max(report.d_value) <= 1e-4
+    assert np.max(report.flow.measured) <= 1e-4
+    assert np.max(report.value.measured) <= 1e-4
     assert report.verdicts["flow_bound"]
 
 
@@ -431,6 +431,6 @@ def test_low_regime_ergodic_and_constants():
     tc = turnpike_constants(sc, rep, np.zeros_like(xs), sol.phi_inf)
     assert tc.lam == pytest.approx(0.5 * rep.tm_bar.lam)
     # the incoming branch of the envelope carries the kernel prefactor
-    b_early = tc.flow_bound(0.05, sc.T, 1.0, "low", rep.tm_bar)
-    b_mid = tc.flow_bound(2.0, sc.T, 1.0, "low", rep.tm_bar)
+    b_early = tc.flow_bound(0.05, sc.T, 1.0)
+    b_mid = tc.flow_bound(2.0, sc.T, 1.0)
     assert b_early > b_mid > 0.0
